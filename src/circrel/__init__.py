@@ -9,7 +9,6 @@ from .distributions import (
     DistributionModel,
     Empirical,
     Exponential,
-    cdf,
     leg_reliability_exponential,
     leg_reliability_plugin,
     leg_reliability_quadrature,
@@ -53,26 +52,18 @@ from .plan import (
 )
 from .resampler import (
     EstimateReport,
-    RealizationIndices,
     ResamplingConfig,
-    draw_realization_indices,
     realization_stream,
     resample_estimate,
 )
 from .variance import (
     KernelEvaluation,
     LegKernels,
-    MomentSet,
-    OmegaPair,
     VarianceReport,
-    conditional_mixed_moment,
     estimator_variance,
-    h_factor,
     leg_kernels,
     mixed_moment_mu11,
     omega_probability,
-    pair_probability,
-    scenario_kernels,
     variance_pipeline,
 )
 from .cli import load_scenario

@@ -68,6 +68,16 @@ EXIT_MISSING_DATA = 3
 EXIT_NUMERIC = 4
 
 
+def _number(value, where: str) -> float:
+    """A JSON value read as a float; booleans and non-numbers are parse errors."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ParseError(f"{where}: expected a number, got {json.dumps(value)}")
+
+
 def _parse_side(side, leg_index: int, side_name: str):
     """One leg side from JSON: ('rate', value) or ('samples', values)."""
     if not isinstance(side, dict) or len(side) != 1:
@@ -78,11 +88,14 @@ def _parse_side(side, leg_index: int, side_name: str):
     if kind == "exponential":
         if not isinstance(payload, dict) or "rate" not in payload:
             raise ParseError(f"leg {leg_index + 1} {side_name}: exponential needs a rate")
-        return "rate", float(payload["rate"])
+        return "rate", _number(payload["rate"], f"leg {leg_index + 1} {side_name} rate")
     if kind == "samples":
         if not isinstance(payload, list):
             raise ParseError(f"leg {leg_index + 1} {side_name}: samples must be a list")
-        return "samples", [float(v) for v in payload]
+        return "samples", [
+            _number(v, f"leg {leg_index + 1} {side_name} sample {j + 1}")
+            for j, v in enumerate(payload)
+        ]
     raise ParseError(f"leg {leg_index + 1} {side_name}: unknown model kind {kind!r}")
 
 
@@ -90,51 +103,56 @@ def _read_samples_csv(path: str, k: int):
     """Per-leg delay and service values from a leg,kind,value CSV."""
     delays = [[] for _ in range(k)]
     services = [[] for _ in range(k)]
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != ["leg", "kind", "value"]:
-            raise ParseError(f"{path}: expected header 'leg,kind,value'")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
-            try:
-                leg_no = int(row[0])
-                value = float(row[2])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{line_no}: {exc}") from None
-            if not 1 <= leg_no <= k:
-                raise ValidationError(
-                    f"{path}:{line_no}: leg {leg_no} outside plan with {k} legs"
-                )
-            kind = row[1].strip().lower()
-            if kind == "delay":
-                delays[leg_no - 1].append(value)
-            elif kind == "service":
-                services[leg_no - 1].append(value)
-            else:
-                raise UnknownKind(f"{path}:{line_no}: kind {kind!r}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if not rows or [c.strip().lower() for c in rows[0]] != ["leg", "kind", "value"]:
+        raise ParseError(f"{path}: expected header 'leg,kind,value'")
+    for line_no, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 3:
+            raise ParseError(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
+        try:
+            leg_no = int(row[0])
+            value = float(row[2])
+        except ValueError as exc:
+            raise ParseError(f"{path}:{line_no}: {exc}") from None
+        if not 1 <= leg_no <= k:
+            raise ValidationError(
+                f"{path}:{line_no}: leg {leg_no} outside plan with {k} legs"
+            )
+        kind = row[1].strip().lower()
+        if kind == "delay":
+            delays[leg_no - 1].append(value)
+        elif kind == "service":
+            services[leg_no - 1].append(value)
+        else:
+            raise UnknownKind(f"{path}:{line_no}: kind {kind!r}")
     return delays, services
 
 
 def load_scenario(path: str, samples_csv_path: str | None = None) -> Scenario:
     """Parse, merge, and validate a scenario file plus optional samples CSV."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
     try:
-        intervals = tuple(float(t) for t in doc["intervals"])
+        raw_intervals = doc["intervals"]
         raw_legs = doc["legs"]
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from None
-    if not isinstance(raw_legs, list):
-        raise ParseError(f"{path}: legs must be a list")
+    if not isinstance(raw_intervals, list) or not isinstance(raw_legs, list):
+        raise ParseError(f"{path}: intervals and legs must be lists")
+    intervals = tuple(
+        _number(t, f"{path}: interval {i + 1}") for i, t in enumerate(raw_intervals)
+    )
 
     csv_delays = csv_services = None
     if samples_csv_path is not None:
@@ -216,7 +234,7 @@ def _variance_payload(report: VarianceReport) -> dict:
 def _cmd_estimate(args) -> int:
     scenario = load_scenario(args.scenario, args.samples)
     config = ResamplingConfig(r=args.resamples, seed=_resolve_seed(args.seed))
-    report = resample_estimate(scenario, config, workers=args.workers)
+    report = resample_estimate(scenario, config)
     if args.format == "json":
         _emit_json(asdict(report))
     else:
@@ -320,7 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--resamples", "-r", type=int, default=50)
     estimate.add_argument("--seed", type=int, default=None)
     estimate.add_argument("--format", choices=["json", "csv"], default="json")
-    estimate.add_argument("--workers", type=int, default=1)
+    estimate.add_argument(
+        "--workers", type=int, default=1,
+        help="accepted for compatibility and ignored; realizations run serially",
+    )
     estimate.set_defaults(func=_cmd_estimate)
 
     variance = sub.add_parser("variance", help="analytic variance of the estimator")
@@ -369,16 +390,10 @@ def main(argv=None) -> int:
     except MissingSamples as exc:
         print(f"circrel: {exc}", file=sys.stderr)
         return EXIT_MISSING_DATA
-    except (ParseError, ValidationError) as exc:
-        print(f"circrel: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except NumericError as exc:
         print(f"circrel: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
-        print(f"circrel: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except CircrelError as exc:
+    except (CircrelError, OSError) as exc:
         print(f"circrel: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -77,11 +77,6 @@ class Empirical:
 DistributionModel = Union[Exponential, Empirical]
 
 
-def cdf(model: DistributionModel, u: float):
-    """CDF of the model at u; vectorizes over array input."""
-    return model.cdf(u)
-
-
 def rates_nearly_equal(a: float, b: float, tube: float = RATE_TUBE) -> bool:
     """True when a and b fall inside the relative coincidence tube."""
     return abs(a - b) <= tube * max(abs(a), abs(b))

@@ -20,9 +20,7 @@ is a compatibility promise.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,14 +28,6 @@ from .errors import MissingSamples, ValidationError
 from .plan import Scenario, validate_scenario
 
 _SEED_BITS = 64
-
-
-@dataclass(frozen=True)
-class RealizationIndices:
-    """Element indices extracted for one realization, one per leg and family."""
-
-    jx: tuple[int, ...]
-    jy: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -69,22 +59,12 @@ def realization_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=index << 128))
 
 
-def draw_realization_indices(
-    sizes_x: Sequence[int], sizes_y: Sequence[int], stream: np.random.Generator
-) -> RealizationIndices:
-    """Uniform, mutually independent element indices for every sample."""
-    jx = stream.integers(0, np.asarray(sizes_x))
-    jy = stream.integers(0, np.asarray(sizes_y))
-    return RealizationIndices(tuple(int(j) for j in jx), tuple(int(j) for j in jy))
-
-
-def resample_estimate(
-    scenario: Scenario, config: ResamplingConfig, workers: int = 1
-) -> EstimateReport:
+def resample_estimate(scenario: Scenario, config: ResamplingConfig) -> EstimateReport:
     """Mean of the fit indicator over r independent realizations.
 
-    Every leg must carry samples. ``workers`` only partitions the work; the
-    report depends on (scenario, config) alone.
+    Every leg must carry samples. Realizations run one after another, each
+    drawing from its own ``realization_stream``; the report depends on
+    (scenario, config) alone.
     """
     validate_scenario(scenario)
     for i, leg in enumerate(scenario.legs):
@@ -106,11 +86,7 @@ def resample_estimate(
                 return 0
         return 1
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            success_count = sum(pool.map(run, range(config.r)))
-    else:
-        success_count = sum(run(l) for l in range(config.r))
+    success_count = sum(run(l) for l in range(config.r))
 
     return EstimateReport(
         theta_star=success_count / config.r,

@@ -51,6 +51,7 @@ from .distributions import (
     DistributionModel,
     Empirical,
     Exponential,
+    _step_breakpoints,
     leg_reliability_exponential,
     leg_reliability_plugin,
     leg_reliability_quadrature,
@@ -71,27 +72,6 @@ Mu11Method = Literal["factorized", "enumerate"]
 
 ENUMERATE_MAX_LEGS = 12
 NEGATIVE_VARIANCE_TOLERANCE = 1e-12
-
-
-@dataclass(frozen=True)
-class OmegaPair:
-    """Per-family sets of legs whose indices coincide between two realizations."""
-
-    omega1: frozenset[int]
-    omega2: frozenset[int]
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """First, second, and mixed moments of the fit indicator."""
-
-    mu: float
-    mu2: float
-    mu11: float
-
-    @classmethod
-    def from_theta(cls, theta: float, mu11: float) -> "MomentSet":
-        return cls(mu=theta, mu2=theta, mu11=mu11)
 
 
 @dataclass(frozen=True)
@@ -154,27 +134,22 @@ def omega_probability(omega: Iterable[int], sizes: Sequence[int]) -> float:
     return p
 
 
-def pair_probability(
-    pair: OmegaPair, sizes_x: Sequence[int], sizes_y: Sequence[int]
-) -> float:
-    """Joint probability of a delay-side and a service-side coincidence pattern."""
-    return omega_probability(pair.omega1, sizes_x) * omega_probability(
-        pair.omega2, sizes_y
-    )
-
-
 def _clamp(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-def _closed_form_one_sided(a: float, b: float, t: float) -> float:
-    """E[F(t - Y)**2] for X ~ Exp(a), Y ~ Exp(b); caller keeps clear of tubes."""
+def _exponential_one_sided(a: float, b: float, t: float) -> KernelEvaluation:
+    """E[F(t - Y)**2] for X ~ Exp(a), Y ~ Exp(b); quadrature inside the tubes."""
+    if rates_nearly_equal(a, b) or rates_nearly_equal(2.0 * a, b):
+        value = _squared_cdf_expectation(Exponential(a), Exponential(b), t)
+        return KernelEvaluation(value, "quadrature", True)
     num = (
         2.0 * a * a * math.exp(-b * t)
         - 2.0 * b * (2.0 * a - b) * math.exp(-a * t)
         + b * (a - b) * math.exp(-2.0 * a * t)
     )
-    return 1.0 - num / ((a - b) * (2.0 * a - b))
+    value = _clamp(1.0 - num / ((a - b) * (2.0 * a - b)))
+    return KernelEvaluation(value, "closed_form")
 
 
 def _leg_models(leg: Leg) -> tuple[DistributionModel, DistributionModel]:
@@ -188,13 +163,9 @@ def _squared_cdf_expectation(
     F: DistributionModel, G: DistributionModel, t: float
 ) -> float:
     """E[F(t - Y)**2] with Y ~ G; quadrature or exact sum per the G model."""
-    if isinstance(F, Empirical):
-        steps = tuple(t - v for v in F.values if 0.0 < t - v < t)
-    else:
-        steps = ()
-    return _clamp(
-        stieltjes_expectation(lambda x: F.cdf(t - x) ** 2, G, t, breakpoints=steps)
-    )
+    return _clamp(stieltjes_expectation(
+        lambda x: F.cdf(t - x) ** 2, G, t, breakpoints=_step_breakpoints(F, t)
+    ))
 
 
 def _resolve_mode(leg: Leg, mode: KernelMode, index: int) -> str:
@@ -208,84 +179,36 @@ def _resolve_mode(leg: Leg, mode: KernelMode, index: int) -> str:
 
 
 def leg_kernels(leg: Leg, t: float, mode: KernelMode, index: int = 0) -> LegKernels:
-    """Evaluate all four coincidence-case kernels for one leg at slack t."""
-    resolved = _resolve_mode(leg, mode, index)
+    """Evaluate all four coincidence-case kernels for one leg at slack t.
 
+    The mode picks how R and the two one-sided kernels are evaluated; the
+    neither-coincides kernel is always R**2, reported with R's method.
+    """
+    resolved = _resolve_mode(leg, mode, index)
     if resolved == "closed_form":
         a, b = leg.rates.delay_rate, leg.rates.service_rate
-        F, G = Exponential(a), Exponential(b)
         in_tube = rates_nearly_equal(a, b)
-        r_method = "erlang_limit" if in_tube else "closed_form"
-        r_value = leg_reliability_exponential(leg.rates, t)
-        both = KernelEvaluation(r_value, r_method, in_tube)
-        neither = KernelEvaluation(_clamp(r_value * r_value), r_method, in_tube)
-        if in_tube or rates_nearly_equal(2.0 * a, b):
-            service_only = KernelEvaluation(
-                _squared_cdf_expectation(F, G, t), "quadrature", True
-            )
-        else:
-            service_only = KernelEvaluation(
-                _clamp(_closed_form_one_sided(a, b, t)), "closed_form"
-            )
-        if in_tube or rates_nearly_equal(a, 2.0 * b):
-            delay_only = KernelEvaluation(
-                _squared_cdf_expectation(G, F, t), "quadrature", True
-            )
-        else:
-            delay_only = KernelEvaluation(
-                _clamp(_closed_form_one_sided(b, a, t)), "closed_form"
-            )
-        return LegKernels(both, neither, service_only, delay_only)
-
-    if resolved == "plugin":
-        F, G = Empirical(leg.samples.delays), Empirical(leg.samples.services)
-        r_value = leg_reliability_plugin(leg.samples, t)
-        return LegKernels(
-            both=KernelEvaluation(r_value, "plugin"),
-            neither=KernelEvaluation(_clamp(r_value * r_value), "plugin"),
-            service_only=KernelEvaluation(_squared_cdf_expectation(F, G, t), "plugin"),
-            delay_only=KernelEvaluation(_squared_cdf_expectation(G, F, t), "plugin"),
+        both = KernelEvaluation(
+            leg_reliability_exponential(leg.rates, t),
+            "erlang_limit" if in_tube else "closed_form",
+            in_tube,
         )
-
-    F, G = _leg_models(leg)
-    r_value = leg_reliability_quadrature(F, G, t)
-    return LegKernels(
-        both=KernelEvaluation(r_value, "quadrature"),
-        neither=KernelEvaluation(_clamp(r_value * r_value), "quadrature"),
-        service_only=KernelEvaluation(_squared_cdf_expectation(F, G, t), "quadrature"),
-        delay_only=KernelEvaluation(_squared_cdf_expectation(G, F, t), "quadrature"),
+        service_only = _exponential_one_sided(a, b, t)
+        delay_only = _exponential_one_sided(b, a, t)
+    else:
+        if resolved == "plugin":
+            F, G = Empirical(leg.samples.delays), Empirical(leg.samples.services)
+            r_value = leg_reliability_plugin(leg.samples, t)
+        else:
+            F, G = _leg_models(leg)
+            r_value = leg_reliability_quadrature(F, G, t)
+        both = KernelEvaluation(r_value, resolved)
+        service_only = KernelEvaluation(_squared_cdf_expectation(F, G, t), resolved)
+        delay_only = KernelEvaluation(_squared_cdf_expectation(G, F, t), resolved)
+    neither = KernelEvaluation(
+        _clamp(both.value * both.value), both.method, both.near_singular
     )
-
-
-def h_factor(
-    in_omega1: bool, in_omega2: bool, leg: Leg, t: float, mode: KernelMode
-) -> float:
-    """Kernel value for one leg under the given coincidence membership."""
-    return leg_kernels(leg, t, mode).value_for(in_omega1, in_omega2)
-
-
-def scenario_kernels(scenario: Scenario, mode: KernelMode) -> tuple[LegKernels, ...]:
-    """Kernels for every leg of a validated scenario."""
-    validate_scenario(scenario)
-    return tuple(
-        leg_kernels(leg, t, mode, index=i)
-        for i, (leg, t) in enumerate(zip(scenario.legs, scenario.plan.intervals))
-    )
-
-
-def conditional_mixed_moment(
-    pair: OmegaPair, scenario: Scenario, mode: KernelMode = "auto"
-) -> float:
-    """Mixed moment conditioned on a coincidence pattern: product of kernels."""
-    kernels = scenario_kernels(scenario, mode)
-    k = len(kernels)
-    for i in pair.omega1 | pair.omega2:
-        if not 0 <= i < k:
-            raise IndexOutOfRange(f"leg index {i} outside 0..{k - 1}")
-    product = 1.0
-    for i, kern in enumerate(kernels):
-        product *= kern.value_for(i in pair.omega1, i in pair.omega2)
-    return product
+    return LegKernels(both, neither, service_only, delay_only)
 
 
 def _sizes_for(
@@ -356,6 +279,27 @@ def _mu11_enumerated(
     return total
 
 
+def _kernels_and_mu11(
+    scenario: Scenario,
+    sizes_x: Sequence[int] | None,
+    sizes_y: Sequence[int] | None,
+    mode: KernelMode,
+    method: Mu11Method,
+) -> tuple[tuple[LegKernels, ...], float]:
+    """Every leg's kernels, and mu11 from them by the chosen method."""
+    sizes_x, sizes_y = _sizes_for(scenario, sizes_x, sizes_y)
+    validate_scenario(scenario)
+    kernels = tuple(
+        leg_kernels(leg, t, mode, index=i)
+        for i, (leg, t) in enumerate(zip(scenario.legs, scenario.plan.intervals))
+    )
+    if method == "factorized":
+        return kernels, _mu11_factorized(kernels, sizes_x, sizes_y)
+    if method == "enumerate":
+        return kernels, _mu11_enumerated(kernels, sizes_x, sizes_y)
+    raise ValidationError(f"unknown mu11 method {method!r}")
+
+
 def mixed_moment_mu11(
     scenario: Scenario,
     sizes_x: Sequence[int] | None = None,
@@ -370,13 +314,7 @@ def mixed_moment_mu11(
     ``enumerate`` performs the literal 4**k-term sum. The two agree to
     floating rounding and the latter is retained as an audit path.
     """
-    sizes_x, sizes_y = _sizes_for(scenario, sizes_x, sizes_y)
-    kernels = scenario_kernels(scenario, mode)
-    if method == "factorized":
-        return _mu11_factorized(kernels, sizes_x, sizes_y)
-    if method == "enumerate":
-        return _mu11_enumerated(kernels, sizes_x, sizes_y)
-    raise ValidationError(f"unknown mu11 method {method!r}")
+    return _kernels_and_mu11(scenario, sizes_x, sizes_y, mode, method)[1]
 
 
 def estimator_variance(
@@ -427,15 +365,8 @@ def variance_pipeline(
     sizes_y: Sequence[int] | None = None,
 ) -> VarianceReport:
     """End-to-end variance: kernels, theta, mu11, then the variance formula."""
-    sizes_x, sizes_y = _sizes_for(scenario, sizes_x, sizes_y)
-    kernels = scenario_kernels(scenario, mode)
+    kernels, mu11 = _kernels_and_mu11(scenario, sizes_x, sizes_y, mode, method)
     theta = plan_reliability([kern.both.value for kern in kernels])
-    if method == "factorized":
-        mu11 = _mu11_factorized(kernels, sizes_x, sizes_y)
-    elif method == "enumerate":
-        mu11 = _mu11_enumerated(kernels, sizes_x, sizes_y)
-    else:
-        raise ValidationError(f"unknown mu11 method {method!r}")
     return estimator_variance(
         theta,
         mu11,

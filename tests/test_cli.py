@@ -279,6 +279,51 @@ def test_numeric_failure_exit_4(capsys, monkeypatch):
     assert "quadrature" in err
 
 
+EXP_LEG = {
+    "delay": {"exponential": {"rate": 0.1}},
+    "service": {"exponential": {"rate": 0.2}},
+}
+
+
+@pytest.mark.parametrize("scenario, samples_csv", [
+    pytest.param({"intervals": 5, "legs": [EXP_LEG]}, None, id="intervals-number"),
+    pytest.param({"intervals": ["a"], "legs": [EXP_LEG]}, None, id="interval-text"),
+    pytest.param({"intervals": [True], "legs": [EXP_LEG]}, None, id="interval-bool"),
+    pytest.param(
+        {"intervals": [10], "legs": [{**EXP_LEG, "delay": {"exponential": {"rate": "x"}}}]},
+        None, id="rate-text",
+    ),
+    pytest.param(
+        {"intervals": [10], "legs": [{**EXP_LEG, "service": {"exponential": {"rate": True}}}]},
+        None, id="rate-bool",
+    ),
+    pytest.param(
+        {"intervals": [10], "legs": [{"delay": {"samples": [1, None]},
+                                      "service": {"samples": [2]}}]},
+        None, id="sample-null",
+    ),
+    pytest.param("directory", None, id="directory"),
+    pytest.param(b"\xff\xfe\x00{", None, id="binary-scenario"),
+    pytest.param({"intervals": [10], "legs": [EXP_LEG]}, b"\xff\xfe\x00", id="binary-csv"),
+])
+def test_bad_input_exit_2(tmp_path, capsys, scenario, samples_csv):
+    path = tmp_path / "scenario.json"
+    if scenario == "directory":
+        path.mkdir()
+    elif isinstance(scenario, bytes):
+        path.write_bytes(scenario)
+    else:
+        path.write_text(json.dumps(scenario))
+    argv = ["variance", str(path), "--sample-size", "5"]
+    if samples_csv is not None:
+        csv_path = tmp_path / "obs.csv"
+        csv_path.write_bytes(samples_csv)
+        argv += ["--samples", str(csv_path)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("circrel:")
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "circrel", "estimate", TWO_LEG,

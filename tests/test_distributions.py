@@ -11,7 +11,6 @@ from circrel import (
     Exponential,
     LegSamples,
     NegativeTime,
-    cdf,
     leg_reliability_exponential,
     leg_reliability_plugin,
     leg_reliability_quadrature,
@@ -25,22 +24,22 @@ times = st.floats(0.0, 500.0)
 class TestCdf:
     def test_exponential_origin_and_tail(self):
         model = Exponential(0.05)
-        assert cdf(model, 0.0) == 0.0
-        assert cdf(model, -3.0) == 0.0
-        assert cdf(model, 1e9) == pytest.approx(1.0)
+        assert model.cdf(0.0) == 0.0
+        assert model.cdf(-3.0) == 0.0
+        assert model.cdf(1e9) == pytest.approx(1.0)
 
     def test_empirical_inclusive_step(self):
         model = Empirical((1.0, 2.0, 2.0, 5.0))
-        assert cdf(model, 2.0) == 0.75
-        assert cdf(model, 1.9999) == 0.25
-        assert cdf(model, 5.0) == 1.0
-        assert cdf(model, -1.0) == 0.0
+        assert model.cdf(2.0) == 0.75
+        assert model.cdf(1.9999) == 0.25
+        assert model.cdf(5.0) == 1.0
+        assert model.cdf(-1.0) == 0.0
 
     def test_empirical_stores_sorted(self):
         assert Empirical((5.0, 1.0, 3.0)).values == (1.0, 3.0, 5.0)
 
     def test_vectorized(self):
-        out = cdf(Empirical((1.0, 2.0)), np.array([0.0, 1.0, 3.0]))
+        out = Empirical((1.0, 2.0)).cdf(np.array([0.0, 1.0, 3.0]))
         assert out.tolist() == [0.0, 0.5, 1.0]
 
 

@@ -9,7 +9,6 @@ from circrel import (
     ResamplingConfig,
     Scenario,
     ValidationError,
-    draw_realization_indices,
     enumerate_exact,
     realization_stream,
     resample_estimate,
@@ -18,23 +17,52 @@ from tests.conftest import reference_scenario, two_point_scenario
 
 
 def test_forced_draw_with_singleton_samples():
-    indices = draw_realization_indices([1, 1, 1], [1, 1], realization_stream(3, 0))
-    assert indices.jx == (0, 0, 0)
-    assert indices.jy == (0, 0)
+    stream = realization_stream(3, 0)
+    assert stream.integers(0, [1, 1, 1]).tolist() == [0, 0, 0]
+    assert stream.integers(0, [1, 1]).tolist() == [0, 0]
 
 
 def test_indices_in_range():
     sizes_x, sizes_y = [2, 5, 9], [3, 1, 7]
     for l in range(200):
-        indices = draw_realization_indices(sizes_x, sizes_y, realization_stream(11, l))
-        assert all(0 <= j < n for j, n in zip(indices.jx, sizes_x))
-        assert all(0 <= j < n for j, n in zip(indices.jy, sizes_y))
+        stream = realization_stream(11, l)
+        jx, jy = stream.integers(0, sizes_x), stream.integers(0, sizes_y)
+        assert all(0 <= j < n for j, n in zip(jx, sizes_x))
+        assert all(0 <= j < n for j, n in zip(jy, sizes_y))
+
+
+def _replayed_success_count(scenario, config):
+    # The documented stream layout, replayed one realization at a time:
+    # one draw over the delay sample sizes, then one over the service sizes.
+    legs, slack = scenario.legs, scenario.plan.intervals
+    sizes_x = [leg.samples.n_delays for leg in legs]
+    sizes_y = [leg.samples.n_services for leg in legs]
+    count = 0
+    for l in range(config.r):
+        stream = realization_stream(config.seed, l)
+        jx = stream.integers(0, sizes_x)
+        jy = stream.integers(0, sizes_y)
+        count += all(
+            leg.samples.delays[jx[i]] + leg.samples.services[jy[i]] <= slack[i]
+            for i, leg in enumerate(legs)
+        )
+    return count
 
 
 def test_fresh_streams_reproduce_indices():
-    a = draw_realization_indices([20, 20], [20, 20], realization_stream(99, 5))
-    b = draw_realization_indices([20, 20], [20, 20], realization_stream(99, 5))
-    assert a == b
+    scenario = Scenario(
+        plan=CirculationPlan((6.0, 9.0, 5.0)),
+        legs=(
+            Leg(samples=LegSamples((2.0,), (1.0, 3.0, 4.5, 6.0))),
+            Leg(samples=LegSamples((0.5, 4.0, 7.0, 2.0, 5.5), (3.0,))),
+            Leg(samples=LegSamples((1.0, 2.5, 4.0), (0.0, 1.5, 3.5, 0.5, 2.0, 4.5))),
+        ),
+    )
+    for seed in (0, 2**63 + 1, 2**64 - 1):
+        for r in (1, 7, 1000):
+            config = ResamplingConfig(r=r, seed=seed)
+            report = resample_estimate(scenario, config)
+            assert report.success_count == _replayed_success_count(scenario, config)
 
 
 def test_coincidence_frequency_matches_inverse_size():
@@ -45,9 +73,9 @@ def test_coincidence_frequency_matches_inverse_size():
     pairs = 10000
     hits = 0
     for p in range(pairs):
-        first = draw_realization_indices([n], [n], realization_stream(17, 2 * p))
-        second = draw_realization_indices([n], [n], realization_stream(17, 2 * p + 1))
-        hits += first.jx[0] == second.jx[0]
+        first = realization_stream(17, 2 * p).integers(0, [n])
+        second = realization_stream(17, 2 * p + 1).integers(0, [n])
+        hits += first[0] == second[0]
     freq = hits / pairs
     se = (0.05 * 0.95 / pairs) ** 0.5
     assert abs(freq - 1.0 / n) < 4 * se
@@ -79,12 +107,11 @@ def test_impossible_leg_gives_zero():
     assert report.theta_star == 0.0
 
 
-def test_seed_determinism_and_worker_independence():
+def test_seed_determinism():
     scenario = two_point_scenario()
     config = ResamplingConfig(r=64, seed=2024)
     baseline = resample_estimate(scenario, config)
     assert resample_estimate(scenario, config) == baseline
-    assert resample_estimate(scenario, config, workers=4) == baseline
     assert baseline.theta_star == baseline.success_count / 64
 
 

@@ -12,19 +12,14 @@ from circrel import (
     IndexOutOfRange,
     Leg,
     LegSamples,
-    MomentSet,
     NegativeVariance,
-    OmegaPair,
     OutOfRangeProbability,
     Scenario,
     ValidationError,
-    conditional_mixed_moment,
     estimator_variance,
-    h_factor,
     leg_kernels,
     mixed_moment_mu11,
     omega_probability,
-    pair_probability,
     variance_pipeline,
 )
 from tests.conftest import reference_scenario, random_scenario, random_sizes
@@ -73,24 +68,26 @@ class TestOmegaProbability:
 
 
 class TestPairProbability:
+    # A delay-side and a service-side pattern occur independently, so their
+    # joint probability is the product of the two omega probabilities.
     def test_forced(self):
-        pair = OmegaPair(frozenset({0, 1}), frozenset({0, 1}))
-        assert pair_probability(pair, [1, 1], [1, 1]) == 1.0
+        p = omega_probability({0, 1}, [1, 1]) * omega_probability({0, 1}, [1, 1])
+        assert p == 1.0
 
     def test_impossible_pattern(self):
-        pair = OmegaPair(frozenset(), frozenset({0}))
-        assert pair_probability(pair, [1], [4]) == 0.0
+        assert omega_probability(set(), [1]) * omega_probability({0}, [4]) == 0.0
 
     def test_one_leg_split(self):
-        pair = OmegaPair(frozenset({0}), frozenset())
-        assert pair_probability(pair, [20], [20]) == pytest.approx(0.0475, abs=1e-15)
+        p = omega_probability({0}, [20]) * omega_probability(set(), [20])
+        assert p == pytest.approx(0.0475, abs=1e-15)
 
 
 class TestKernels:
     def test_all_cases_vanish_at_zero_slack(self):
+        kernels = leg_kernels(REFERENCE_LEG, 0.0, "closed_form")
         for in1 in (False, True):
             for in2 in (False, True):
-                assert h_factor(in1, in2, REFERENCE_LEG, 0.0, "closed_form") == 0.0
+                assert kernels.value_for(in1, in2) == 0.0
 
     def test_reference_point_closed_form(self):
         kernels = leg_kernels(REFERENCE_LEG, 140.0, "closed_form")
@@ -141,22 +138,25 @@ class TestKernels:
 
 
 class TestConditionalMixedMoment:
+    # Conditioned on the coincidence pattern (omega1, omega2) the mixed moment
+    # is the product over legs of leg_kernels(...).value_for(...).
+    @staticmethod
+    def moment(scenario, omega1, omega2):
+        return math.prod(
+            leg_kernels(leg, t, "closed_form").value_for(i in omega1, i in omega2)
+            for i, (leg, t) in enumerate(zip(scenario.legs, scenario.plan.intervals))
+        )
+
     def test_full_coincidence_is_theta(self):
-        scenario = reference_scenario(140.0, k=3)
-        pair = OmegaPair(frozenset({0, 1, 2}), frozenset({0, 1, 2}))
-        value = conditional_mixed_moment(pair, scenario, mode="closed_form")
+        value = self.moment(reference_scenario(140.0, k=3), {0, 1, 2}, {0, 1, 2})
         assert value == pytest.approx(H_BOTH**3, rel=1e-12)
 
     def test_no_coincidence_is_theta_squared(self):
-        scenario = reference_scenario(140.0, k=3)
-        pair = OmegaPair(frozenset(), frozenset())
-        value = conditional_mixed_moment(pair, scenario, mode="closed_form")
+        value = self.moment(reference_scenario(140.0, k=3), set(), set())
         assert value == pytest.approx((H_BOTH**3) ** 2, rel=1e-10)
 
     def test_mixed_pair_is_product(self):
-        scenario = reference_scenario(140.0, k=2)
-        pair = OmegaPair(frozenset({0}), frozenset({1}))
-        value = conditional_mixed_moment(pair, scenario, mode="closed_form")
+        value = self.moment(reference_scenario(140.0, k=2), {0}, {1})
         assert value == pytest.approx(H_DELAY_ONLY * H_SERVICE_ONLY, rel=1e-12)
 
 
@@ -280,9 +280,3 @@ class TestVariancePipeline:
     def test_sizes_required_for_exponential_legs(self):
         with pytest.raises(ValidationError):
             variance_pipeline(reference_scenario(140.0), r=50, mode="closed_form")
-
-
-def test_moment_set_carries_theta_twice():
-    moments = MomentSet.from_theta(0.7, 0.52)
-    assert moments.mu == moments.mu2 == 0.7
-    assert moments.mu11 == 0.52
