@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     estimate.add_argument("--format", choices=["json", "csv"], default="json")
     estimate.add_argument(
         "--workers", type=int, default=1,
-        help="accepted for compatibility and ignored; realizations run serially",
+        help="accepted for compatibility and ignored; realizations run in vectorized batches",
     )
     estimate.set_defaults(func=_cmd_estimate)
 

@@ -2,7 +2,8 @@
 
 Validation errors report bad inputs (CLI exit code 2), MissingSamples reports
 absent data (exit 3), numeric errors report computation failures (exit 4).
-Errors tied to a particular leg carry its 0-based index in ``leg``.
+Errors tied to a particular leg carry its 0-based index in ``leg``; their
+messages number legs from 1, as scenario files and samples CSVs do.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ class ValidationError(CircrelError, ValueError):
     """Input violates a contract (bad value, wrong shape, wrong model kind)."""
 
     def __init__(self, message: str, leg: int | None = None):
-        super().__init__(message if leg is None else f"leg {leg}: {message}")
+        super().__init__(message if leg is None else f"leg {leg + 1}: {message}")
         self.leg = leg
 
 
@@ -68,7 +69,7 @@ class MissingSamples(CircrelError):
     """An operation needs per-leg samples that the scenario does not carry."""
 
     def __init__(self, leg: int):
-        super().__init__(f"leg {leg}: no samples available")
+        super().__init__(f"leg {leg + 1}: no samples available")
         self.leg = leg
 
 

@@ -8,8 +8,9 @@ module:
   produced), combined exactly across legs. Feasible only for tiny instances;
   gives expectations and variances to summation accuracy.
 * ``simulate_pipeline_variance`` -- full Monte Carlo over the joint law:
-  draw fresh samples from exponential legs, run the real resampler, and
-  observe the spread of the estimate across many replications.
+  draw fresh samples from exponential legs, resample them with the
+  resampler's own draw routine, and observe the spread of the estimate
+  across many replications.
 
 The exact tier checks unbiasedness and the variance formula against fixed
 samples (equivalently, against the discrete law the samples define); the
@@ -25,12 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationTooLarge, ValidationError
-from .plan import Leg, LegSamples, Scenario, validate_scenario
-from .resampler import ResamplingConfig, realization_stream, resample_estimate
+from .plan import Leg, Scenario, validate_scenario
+from .resampler import ResamplingConfig, _success_counts, realization_stream
 
 # Cells = sample configurations x index configurations x realizations,
 # summed per leg; beyond this the arrays stop fitting in working memory.
 ENUMERATION_CELL_BUDGET = 200_000_000
+
+# Replications whose resampling runs share one vectorized call.
+_REPLICATION_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -160,11 +164,14 @@ def simulate_pipeline_variance(
     """Spread of the estimator over fresh exponential samples plus resampling.
 
     Each replication draws new samples of the given sizes from the
-    scenario's exponential legs, runs the resampler with ``r`` realizations
-    on them, and records the estimate. Statistical use wants replications in
-    the thousands. Fully deterministic in ``seed``: replication b draws from
-    its own counter-keyed substream, and the nested resampler seed is drawn
-    from that substream.
+    scenario's exponential legs, resamples them with ``r`` realizations, and
+    records the estimate. Statistical use wants replications in the
+    thousands. Fully deterministic in ``seed``: replication b draws from its
+    own counter-keyed substream ``realization_stream(seed, b)``, leg by leg
+    (delays, then services), then draws its resampling seed from the same
+    substream. Its estimate is the one ``resample_estimate`` reports for
+    those samples and that seed; the resampling of a block of replications
+    runs in one vectorized call, one Philox key per replication.
     """
     validate_scenario(scenario)
     k = scenario.plan.k
@@ -173,23 +180,30 @@ def simulate_pipeline_variance(
             raise ValidationError("simulation needs exponential rates", leg=i)
     if len(sizes_x) != k or len(sizes_y) != k:
         raise ValidationError(f"expected {k} sizes per family")
+    if min(*sizes_x, *sizes_y) < 1:
+        raise ValidationError("sample sizes must be >= 1")
+    if r < 1:
+        raise ValidationError(f"realization count {r!r} must be >= 1")
     if replications < 2:
         raise ValidationError("need at least 2 replications for a variance")
 
+    slack = np.asarray(scenario.plan.intervals)
     estimates = np.empty(replications)
-    for b in range(replications):
-        stream = realization_stream(seed, b)
-        legs = []
-        for i, leg in enumerate(scenario.legs):
-            delays = stream.exponential(1.0 / leg.rates.delay_rate, size=sizes_x[i])
-            services = stream.exponential(1.0 / leg.rates.service_rate, size=sizes_y[i])
-            legs.append(Leg(samples=LegSamples(tuple(delays), tuple(services))))
-        rep_seed = int(stream.integers(0, 2**64, dtype=np.uint64))
-        report = resample_estimate(
-            Scenario(plan=scenario.plan, legs=tuple(legs)),
-            ResamplingConfig(r=r, seed=rep_seed),
-        )
-        estimates[b] = report.theta_star
+    for start in range(0, replications, _REPLICATION_BLOCK):
+        block = range(start, min(start + _REPLICATION_BLOCK, replications))
+        delays = [np.empty((len(block), n)) for n in sizes_x]
+        services = [np.empty((len(block), n)) for n in sizes_y]
+        seeds = np.empty(len(block), dtype=np.uint64)
+        for row, b in enumerate(block):
+            stream = realization_stream(seed, b)
+            for i, rates in enumerate(leg.rates for leg in scenario.legs):
+                delays[i][row] = stream.exponential(1.0 / rates.delay_rate, size=sizes_x[i])
+                services[i][row] = stream.exponential(
+                    1.0 / rates.service_rate, size=sizes_y[i]
+                )
+            seeds[row] = stream.integers(0, 2**64, dtype=np.uint64)
+        counts = _success_counts(seeds, r, delays, services, slack)
+        estimates[block.start : block.stop] = counts / r
 
     mean = float(estimates.mean())
     variance = float(estimates.var(ddof=1))

@@ -139,7 +139,7 @@ class TestEstimateCommand:
     def test_missing_samples_exit_3(self, capsys):
         code, out, err = run_cli(["estimate", FIVE_LEG, "--resamples", "5"], capsys)
         assert code == 3
-        assert out == "" and "leg 0" in err
+        assert out == "" and "leg 1" in err
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run_cli(["estimate", "/nonexistent.json"], capsys)
@@ -322,6 +322,21 @@ def test_bad_input_exit_2(tmp_path, capsys, scenario, samples_csv):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("circrel:")
+
+
+@pytest.mark.parametrize("scenario, message", [
+    pytest.param({"intervals": ["nan"], "legs": [EXP_LEG]}, "leg 1: interval nan",
+                 id="interval-nan"),
+    pytest.param({"intervals": [10, 10], "legs": [EXP_LEG, {
+        "delay": {"samples": [1.0]}, "service": {"samples": [-1]}}]},
+                 "leg 2: service sample value -1.0", id="negative-sample"),
+])
+def test_validation_messages_number_legs_from_1(tmp_path, capsys, scenario, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = run_cli(["variance", str(path), "--sample-size", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_module_entry_point_runs():

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from circrel import (
     CirculationPlan,
     EnumerationTooLarge,
+    ExponentialLegModel,
     Leg,
     LegSamples,
     ResamplingConfig,
@@ -11,9 +13,11 @@ from circrel import (
     enumerate_exact,
     plan_reliability,
     leg_reliability_plugin,
+    realization_stream,
     simulate_pipeline_variance,
     variance_pipeline,
 )
+from circrel.oracles import _REPLICATION_BLOCK
 from tests.conftest import reference_scenario, two_point_scenario
 
 
@@ -81,7 +85,53 @@ class TestEnumerateExact:
             enumerate_exact(scenario, ResamplingConfig(r=5), samples_random=True)
 
 
+def _replayed_estimates(scenario, sizes_x, sizes_y, r, replications, seed):
+    # One replication at a time: its own stream, then the exponential
+    # samples leg by leg, then the resampling seed, then r realizations
+    # each drawn from its own stream under that seed.
+    estimates = []
+    for b in range(replications):
+        stream = realization_stream(seed, b)
+        samples = [
+            (stream.exponential(1.0 / leg.rates.delay_rate, size=sizes_x[i]),
+             stream.exponential(1.0 / leg.rates.service_rate, size=sizes_y[i]))
+            for i, leg in enumerate(scenario.legs)
+        ]
+        rep_seed = int(stream.integers(0, 2**64, dtype=np.uint64))
+        count = 0
+        for l in range(r):
+            draws = realization_stream(rep_seed, l)
+            jx, jy = draws.integers(0, sizes_x), draws.integers(0, sizes_y)
+            count += all(
+                delays[jx[i]] + services[jy[i]] <= t
+                for i, ((delays, services), t) in enumerate(
+                    zip(samples, scenario.plan.intervals)
+                )
+            )
+        estimates.append(count / r)
+    return np.array(estimates)
+
+
 class TestSimulatePipelineVariance:
+    @pytest.mark.parametrize("r, replications", [
+        (1, 64), (10, 64), (37, 64), (3, _REPLICATION_BLOCK + 5),
+    ])
+    def test_matches_replayed_replications(self, r, replications):
+        scenario = Scenario(
+            plan=CirculationPlan((60.0, 140.0)),
+            legs=(
+                Leg(rates=ExponentialLegModel(0.05, 0.02)),
+                Leg(rates=ExponentialLegModel(0.03, 0.04)),
+            ),
+        )
+        sizes_x, sizes_y = [1, 4], [3, 1]
+        seed = 2**63 + 1
+        estimates = _replayed_estimates(scenario, sizes_x, sizes_y, r, replications, seed)
+        mc = simulate_pipeline_variance(scenario, sizes_x, sizes_y, r, replications, seed)
+        assert 0.0 < estimates.mean() < 1.0
+        assert mc.mean_theta_star == float(estimates.mean())
+        assert mc.empirical_variance == float(estimates.var(ddof=1))
+
     def test_deterministic_given_seed(self):
         scenario = reference_scenario(140.0, k=1)
         a = simulate_pipeline_variance(scenario, [4], [4], r=5, replications=1000, seed=3)

@@ -13,6 +13,7 @@ from circrel import (
     realization_stream,
     resample_estimate,
 )
+from circrel.resampler import _CHUNK_ROWS, _draw_indices
 from tests.conftest import reference_scenario, two_point_scenario
 
 
@@ -63,6 +64,45 @@ def test_fresh_streams_reproduce_indices():
             config = ResamplingConfig(r=r, seed=seed)
             report = resample_estimate(scenario, config)
             assert report.success_count == _replayed_success_count(scenario, config)
+
+
+@pytest.mark.parametrize("sizes_x, sizes_y", [
+    pytest.param([2, 7, 1], [7, 1, 2], id="small-even"),
+    pytest.param([1, 7, 2], [2], id="small-odd"),
+    pytest.param([2**31 + 1, 2], [7], id="half-rejecting-odd"),
+    pytest.param([2**31 + 1], [2**31 + 1, 1], id="half-rejecting-even"),
+    pytest.param([2**32 - 1, 2**32], [1, 2**32, 7], id="32-bit-edge"),
+    pytest.param([3] * 9, [5] * 8, id="three-blocks"),
+    pytest.param([1, 1], [1], id="no-draws"),
+    pytest.param([2**32 + 1, 2], [3], id="above-32-bit"),
+])
+def test_batched_draw_matches_streams(sizes_x, sizes_y):
+    # Element by element against the scalar layout, for rows keyed by
+    # several seeds at realization indices around 2**40.
+    seeds = np.array([0, 2**63 + 1, 2**64 - 1], dtype=np.uint64)
+    realizations = np.arange(2**40 - 40, 2**40 + 40, dtype=np.uint64)
+    keys = np.repeat(seeds, realizations.size)
+    realizations = np.tile(realizations, seeds.size)
+    jx, jy = _draw_indices(keys, realizations, sizes_x, sizes_y)
+    for j in range(keys.size):
+        stream = realization_stream(int(keys[j]), int(realizations[j]))
+        assert jx[j].tolist() == stream.integers(0, sizes_x).tolist()
+        assert jy[j].tolist() == stream.integers(0, sizes_y).tolist()
+
+
+def test_chunked_count_matches_replay():
+    # r is not a multiple of the chunk size, so the last chunk is partial.
+    scenario = Scenario(
+        plan=CirculationPlan((7.0, 6.5)),
+        legs=(
+            Leg(samples=LegSamples((1.0, 2.5, 4.0), (2.0, 3.5, 5.0, 0.5))),
+            Leg(samples=LegSamples((0.5, 3.0), (3.0,))),
+        ),
+    )
+    config = ResamplingConfig(r=2 * _CHUNK_ROWS + 3, seed=2**63 + 1)
+    report = resample_estimate(scenario, config)
+    assert 0 < report.success_count < config.r
+    assert report.success_count == _replayed_success_count(scenario, config)
 
 
 def test_coincidence_frequency_matches_inverse_size():
