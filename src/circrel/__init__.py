@@ -6,8 +6,6 @@ times, and computes the exact variance of that estimator analytically.
 """
 
 from .distributions import (
-    DistributionModel,
-    Empirical,
     Exponential,
     leg_reliability_exponential,
     leg_reliability_plugin,

@@ -73,7 +73,7 @@ def _number(value, where: str) -> float:
     if not isinstance(value, bool):
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise ParseError(f"{where}: expected a number, got {json.dumps(value)}")
 

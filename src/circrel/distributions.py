@@ -12,9 +12,15 @@ which this module evaluates three ways:
   (the CDF of a two-stage hypoexponential sum), with an Erlang-2 limit when
   the two rates nearly coincide;
 * ``leg_reliability_quadrature`` -- adaptive quadrature of the integral for
-  any model pair, the independent cross-check for the closed forms;
-* ``leg_reliability_plugin`` -- the empirical plug-in, an exact finite sum
-  over all sample pairs.
+  a pair of exponential laws, the independent cross-check for the closed
+  forms;
+* ``leg_reliability_plugin`` -- the empirical plug-in, an exact count over
+  all sample pairs.
+
+Sample legs use one fit rule everywhere: a delay/service pair fits when the
+floating-point sum satisfies x + y <= t, the resampler's own test, so a tie
+x + y = t fits. ``_pair_fits`` applies it once per pair; every sample-leg
+kernel is a ratio of integer counts of its matrix.
 
 Supports are nonnegative throughout: F(u) = G(u) = 0 for u < 0, so every
 integral truncates to [0, t].
@@ -24,11 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .errors import EmptySample, InvalidSampleValue, NegativeTime, NonpositiveRate
+from .errors import NegativeTime, NonpositiveRate
 from .plan import ExponentialLegModel, LegSamples
 from .quadrature import adaptive_quadrature
 
@@ -52,29 +57,6 @@ class Exponential:
         u = np.asarray(u, dtype=float)
         out = -np.expm1(-self.rate * np.maximum(u, 0.0))
         return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class Empirical:
-    """Empirical law of a nonnegative sample; CDF is the inclusive step function."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.values) == 0:
-            raise EmptySample("empirical sample is empty")
-        for v in self.values:
-            if not math.isfinite(v) or v < 0:
-                raise InvalidSampleValue(f"sample value {v!r}")
-        object.__setattr__(self, "values", tuple(sorted(self.values)))
-
-    def cdf(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.searchsorted(self.values, u, side="right") / len(self.values)
-        return out if out.ndim else float(out)
-
-
-DistributionModel = Union[Exponential, Empirical]
 
 
 def rates_nearly_equal(a: float, b: float, tube: float = RATE_TUBE) -> bool:
@@ -107,53 +89,44 @@ def leg_reliability_exponential(leg: ExponentialLegModel, t: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def stieltjes_expectation(
-    f, weight: DistributionModel, t: float, breakpoints: tuple[float, ...] = ()
-) -> float:
+def stieltjes_expectation(f, weight: Exponential, t: float) -> float:
     """integral over [0, t] of f(x) d(weight)(x) for a vectorized integrand f.
 
-    Empirical weight reduces to the exact finite sum over its atoms (atoms
-    beyond t contribute through f directly, so f must vanish there).
-    Exponential weight goes through adaptive quadrature with the integrand
-    multiplied by the exponential density; ``breakpoints`` marks interior
-    steps of f so panels stay smooth.
+    Adaptive quadrature of f times the exponential density of ``weight``.
     """
-    if isinstance(weight, Empirical):
-        return float(np.mean(f(np.asarray(weight.values, dtype=float))))
     rate = weight.rate
 
     def integrand(x: np.ndarray) -> np.ndarray:
         return f(x) * rate * np.exp(-rate * x)
 
-    return adaptive_quadrature(integrand, 0.0, t, breakpoints=breakpoints).value
+    return adaptive_quadrature(integrand, 0.0, t).value
 
 
-def _step_breakpoints(model: DistributionModel, t: float) -> tuple[float, ...]:
-    """Interior jump locations of x -> model.cdf(t - x) on [0, t]."""
-    if isinstance(model, Empirical):
-        return tuple(t - v for v in model.values if 0.0 < t - v < t)
-    return ()
-
-
-def leg_reliability_quadrature(
-    F: DistributionModel, G: DistributionModel, t: float
-) -> float:
+def leg_reliability_quadrature(F: Exponential, G: Exponential, t: float) -> float:
     """P(X + Y <= t) by direct evaluation of the convolution integral.
 
-    X ~ F, Y ~ G independent with nonnegative support. Agrees with the
-    closed form to the quadrature tolerance for exponential pairs, and with
-    the plug-in sum exactly for empirical pairs.
+    X ~ F, Y ~ G independent exponential laws. Agrees with the closed form to
+    the quadrature tolerance.
     """
     _require_nonnegative_time(t)
-    value = stieltjes_expectation(
-        lambda x: F.cdf(t - x), G, t, breakpoints=_step_breakpoints(F, t)
-    )
+    value = stieltjes_expectation(lambda x: F.cdf(t - x), G, t)
     return min(1.0, max(0.0, value))
+
+
+def _pair_fits(samples: LegSamples, t: float) -> np.ndarray:
+    """Boolean pair matrix: entry (i, j) is fl(delay_i + service_j) <= t.
+
+    The only place the sample-leg fit rule is written. Its column sums c_j
+    count the delays that fit with service j, its row sums d_i the services
+    that fit with delay i.
+    """
+    _require_nonnegative_time(t)
+    x = np.asarray(samples.delays, dtype=float)
+    y = np.asarray(samples.services, dtype=float)
+    return x[:, None] + y[None, :] <= t
 
 
 def leg_reliability_plugin(samples: LegSamples, t: float) -> float:
     """Fraction of delay/service sample cross-pairs with x + y <= t."""
-    _require_nonnegative_time(t)
-    x = np.asarray(samples.delays, dtype=float)
-    y = np.asarray(samples.services, dtype=float)
-    return float(np.mean(x[:, None] + y[None, :] <= t))
+    fits = _pair_fits(samples, t)
+    return int(np.count_nonzero(fits)) / fits.size

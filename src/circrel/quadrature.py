@@ -1,9 +1,9 @@
 """Adaptive Gauss-Kronrod quadrature over a finite interval.
 
-Workhorse for the Stieltjes integrals behind the reliability kernels: the
-integrands are probability-weighted CDF products on [0, t], smooth except
-for known step locations, which callers pass as breakpoints so every panel
-stays smooth inside.
+Workhorse for the Stieltjes integrals behind the exponential reliability
+kernels: the integrands are density-weighted products of exponential CDFs on
+[0, t], smooth throughout. Sample legs never come here; their kernels are
+exact pair counts.
 
 The 7-point Gauss rule embedded in the 15-point Kronrod rule gives a value
 and an error estimate per panel; the panel with the largest error is bisected
@@ -74,29 +74,18 @@ def adaptive_quadrature(
     rel_tol: float = DEFAULT_REL_TOL,
     abs_tol: float = DEFAULT_ABS_TOL,
     max_evals: int = DEFAULT_MAX_EVALS,
-    breakpoints: tuple[float, ...] = (),
 ) -> QuadratureResult:
     """Integrate a vectorized ``f`` over [a, b].
 
-    ``breakpoints`` lists interior points where the integrand may jump or
-    kink; panels are split there up front. Raises QuadratureNonConvergence
-    when the evaluation budget runs out before the error estimate drops
-    below max(rel_tol * |value|, abs_tol).
+    Raises QuadratureNonConvergence when the evaluation budget runs out
+    before the error estimate drops below max(rel_tol * |value|, abs_tol).
     """
     if b <= a:
         return QuadratureResult(0.0, 0.0, 0)
 
-    edges = sorted({a, b, *(p for p in breakpoints if a < p < b)})
-    evaluations = 0
-    heap: list[tuple[float, float, float, float]] = []  # (-err, left, right, value)
-    total = 0.0
-    total_err = 0.0
-    for left, right in zip(edges, edges[1:]):
-        value, err = _panel(f, left, right)
-        evaluations += _NODES.size
-        total += value
-        total_err += err
-        heappush(heap, (-err, left, right, value))
+    total, total_err = _panel(f, a, b)
+    evaluations = _NODES.size
+    heap = [(-total_err, a, b, total)]  # (-err, left, right, value)
 
     while total_err > max(rel_tol * abs(total), abs_tol):
         if evaluations + 2 * _NODES.size > max_evals:

@@ -38,7 +38,18 @@ and the delay-only case is the same expression with a and b swapped. Near
 the denominator zeros (equal rates, or one rate double the other) the
 closed forms cancel catastrophically; inside a narrow relative tube around
 those lines the kernel is evaluated by adaptive quadrature instead and the
-evaluation is flagged ``near_singular``.
+evaluation is flagged ``near_singular``. Quadrature mode integrates the
+exponential laws directly.
+
+For sample legs, in plug-in mode and in quadrature mode on legs without
+rates, every kernel is a ratio of integer pair counts under the resampler's
+fit rule x + y <= t: with c_j the delays that fit service j and d_i the
+services that fit delay i,
+
+    R = sum(c) / (n_x n_y),  E[F(t - Y)**2] = sum(c**2) / (n_x**2 n_y),
+    E[G(t - X)**2] = sum(d**2) / (n_y**2 n_x),
+
+so ties x + y = t count as fits exactly as they do when resampling.
 """
 
 from __future__ import annotations
@@ -48,10 +59,8 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 from .distributions import (
-    DistributionModel,
-    Empirical,
     Exponential,
-    _step_breakpoints,
+    _pair_fits,
     leg_reliability_exponential,
     leg_reliability_plugin,
     leg_reliability_quadrature,
@@ -152,20 +161,9 @@ def _exponential_one_sided(a: float, b: float, t: float) -> KernelEvaluation:
     return KernelEvaluation(value, "closed_form")
 
 
-def _leg_models(leg: Leg) -> tuple[DistributionModel, DistributionModel]:
-    """Per-side delay and service models, preferring rates over samples."""
-    if leg.rates is not None:
-        return Exponential(leg.rates.delay_rate), Exponential(leg.rates.service_rate)
-    return Empirical(leg.samples.delays), Empirical(leg.samples.services)
-
-
-def _squared_cdf_expectation(
-    F: DistributionModel, G: DistributionModel, t: float
-) -> float:
-    """E[F(t - Y)**2] with Y ~ G; quadrature or exact sum per the G model."""
-    return _clamp(stieltjes_expectation(
-        lambda x: F.cdf(t - x) ** 2, G, t, breakpoints=_step_breakpoints(F, t)
-    ))
+def _squared_cdf_expectation(F: Exponential, G: Exponential, t: float) -> float:
+    """E[F(t - Y)**2] with Y ~ G, by quadrature."""
+    return _clamp(stieltjes_expectation(lambda x: F.cdf(t - x) ** 2, G, t))
 
 
 def _resolve_mode(leg: Leg, mode: KernelMode, index: int) -> str:
@@ -195,16 +193,24 @@ def leg_kernels(leg: Leg, t: float, mode: KernelMode, index: int = 0) -> LegKern
         )
         service_only = _exponential_one_sided(a, b, t)
         delay_only = _exponential_one_sided(b, a, t)
-    else:
-        if resolved == "plugin":
-            F, G = Empirical(leg.samples.delays), Empirical(leg.samples.services)
-            r_value = leg_reliability_plugin(leg.samples, t)
-        else:
-            F, G = _leg_models(leg)
-            r_value = leg_reliability_quadrature(F, G, t)
-        both = KernelEvaluation(r_value, resolved)
+    elif resolved == "quadrature" and leg.rates is not None:
+        F = Exponential(leg.rates.delay_rate)
+        G = Exponential(leg.rates.service_rate)
+        both = KernelEvaluation(leg_reliability_quadrature(F, G, t), resolved)
         service_only = KernelEvaluation(_squared_cdf_expectation(F, G, t), resolved)
         delay_only = KernelEvaluation(_squared_cdf_expectation(G, F, t), resolved)
+    else:
+        # F(t - y_j) = c_j / n_x and G(t - x_i) = d_i / n_y under the
+        # empirical laws, with c and d the column and row sums of the pair
+        # matrix, so S and D are ratios of integers. R still comes from the
+        # public leg_reliability_plugin, where the benchmark's per-layer
+        # tracing times it, at the cost of a second pair matrix.
+        fits = _pair_fits(leg.samples, t)
+        c, d = fits.sum(axis=0), fits.sum(axis=1)
+        nx, ny = fits.shape
+        both = KernelEvaluation(leg_reliability_plugin(leg.samples, t), resolved)
+        service_only = KernelEvaluation(int(c @ c) / (nx * nx * ny), resolved)
+        delay_only = KernelEvaluation(int(d @ d) / (ny * ny * nx), resolved)
     neither = KernelEvaluation(
         _clamp(both.value * both.value), both.method, both.near_singular
     )

@@ -73,6 +73,14 @@ def _tiny_fixtures() -> list[tuple[str, Scenario]]:
                 ),
             ),
         ),
+        (
+            # 0.1 + 0.4 and 0.3 + 0.2 round to exactly 0.5: ties that fit.
+            "one_leg_decimal_tie",
+            Scenario(
+                plan=CirculationPlan((0.5,)),
+                legs=(Leg(samples=LegSamples((0.1, 0.3), (0.4, 0.2))),),
+            ),
+        ),
     ]
 
 

@@ -227,6 +227,18 @@ class TestSweepCommand:
         assert float(row[2]) == report["mu11"]
         assert float(row[3]) == report["variance"]
 
+    def test_plugin_decimal_ties_stay_in_range(self, capsys):
+        # Grid points such as 39.8 make x + y = t ties between sample values.
+        code, out, _ = run_cli(
+            ["sweep", TWO_LEG, "--t-grid", "39:40:0.1", "--mode", "plugin"], capsys
+        )
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")] for line in out.splitlines()[1:]]
+        assert len(rows) == 11
+        for _, theta, _, variance in rows:
+            spread = theta * (1.0 - theta)
+            assert spread / 50 - 1e-13 <= variance <= spread + 1e-13
+
     def test_bad_grid_exit_2(self, capsys):
         for grid in ("300:20:40", "20:300:0", "20:300", "a:b:c"):
             code, _, err = run_cli(
@@ -242,7 +254,7 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert payload["passed"] is True
         assert all(c["passed"] for c in payload["checks"])
-        assert len(payload["checks"]) == 18
+        assert len(payload["checks"]) == 24
 
     def test_kernels_suite_passes(self, capsys):
         code, out, _ = run_cli(["verify", "--suite", "kernels"], capsys)

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circrel import (
-    Empirical,
     ExponentialLegModel,
     Exponential,
+    Leg,
     LegSamples,
     NegativeTime,
+    leg_kernels,
     leg_reliability_exponential,
     leg_reliability_plugin,
     leg_reliability_quadrature,
@@ -27,20 +28,6 @@ class TestCdf:
         assert model.cdf(0.0) == 0.0
         assert model.cdf(-3.0) == 0.0
         assert model.cdf(1e9) == pytest.approx(1.0)
-
-    def test_empirical_inclusive_step(self):
-        model = Empirical((1.0, 2.0, 2.0, 5.0))
-        assert model.cdf(2.0) == 0.75
-        assert model.cdf(1.9999) == 0.25
-        assert model.cdf(5.0) == 1.0
-        assert model.cdf(-1.0) == 0.0
-
-    def test_empirical_stores_sorted(self):
-        assert Empirical((5.0, 1.0, 3.0)).values == (1.0, 3.0, 5.0)
-
-    def test_vectorized(self):
-        out = Empirical((1.0, 2.0)).cdf(np.array([0.0, 1.0, 3.0]))
-        assert out.tolist() == [0.0, 0.5, 1.0]
 
 
 class TestExponentialClosedForm:
@@ -80,23 +67,14 @@ class TestQuadratureKernel:
     def test_zero_slack(self):
         assert leg_reliability_quadrature(Exponential(0.1), Exponential(0.2), 0.0) == 0.0
 
-    def test_degenerate_empirical_reduces_to_cdf(self):
-        value = leg_reliability_quadrature(Empirical((10.0,)), Exponential(0.1), 20.0)
-        assert value == pytest.approx(1.0 - math.exp(-1.0), abs=1e-9)
-
     def test_empirical_pair_equals_plugin(self):
-        samples = LegSamples((1.0, 3.0, 7.0), (2.0, 2.0, 4.0))
-        quad = leg_reliability_quadrature(
-            Empirical(samples.delays), Empirical(samples.services), 6.0
-        )
-        assert quad == pytest.approx(leg_reliability_plugin(samples, 6.0), abs=1e-12)
-
-    def test_mixed_step_breakpoints(self):
-        # Two-atom delay sample against an exponential service law:
-        # the integral reduces to a two-term mixture of service CDF values.
-        value = leg_reliability_quadrature(Empirical((2.0, 9.0)), Exponential(0.1), 12.0)
-        expected = 0.5 * (1.0 - math.exp(-1.0)) + 0.5 * (1.0 - math.exp(-0.3))
-        assert value == pytest.approx(expected, abs=1e-9)
+        # On a leg without rates, quadrature mode integrates one empirical law
+        # against another, a finite sum: the same counts as plug-in mode.
+        leg = Leg(samples=LegSamples((1.0, 3.0, 7.0), (2.0, 2.0, 4.0)))
+        quad = leg_kernels(leg, 6.0, "quadrature")
+        plugin = leg_kernels(leg, 6.0, "plugin")
+        for case in ("both", "neither", "service_only", "delay_only"):
+            assert getattr(quad, case).value == getattr(plugin, case).value
 
 
 class TestPluginKernel:

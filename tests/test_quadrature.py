@@ -23,12 +23,6 @@ def test_empty_interval_is_zero():
     assert res.value == 0.0 and res.evaluations == 0
 
 
-def test_breakpoint_handles_step():
-    step = lambda x: (x >= 1.0).astype(float)
-    res = adaptive_quadrature(step, 0.0, 2.0, breakpoints=(1.0,))
-    assert abs(res.value - 1.0) < 1e-12
-
-
 def test_oscillatory_converges():
     res = adaptive_quadrature(lambda x: np.sin(50.0 * x), 0.0, math.pi)
     exact = (1.0 - math.cos(50.0 * math.pi)) / 50.0
@@ -36,7 +30,7 @@ def test_oscillatory_converges():
 
 
 def test_budget_exhaustion_reports_progress():
-    # A step without a declared breakpoint cannot be resolved in 5 panels.
+    # A step cannot be resolved in 5 panels.
     step = lambda x: (x >= 1.0 / 3.0).astype(float)
     with pytest.raises(QuadratureNonConvergence) as info:
         adaptive_quadrature(step, 0.0, 1.0, max_evals=75)

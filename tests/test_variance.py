@@ -14,8 +14,10 @@ from circrel import (
     LegSamples,
     NegativeVariance,
     OutOfRangeProbability,
+    ResamplingConfig,
     Scenario,
     ValidationError,
+    enumerate_exact,
     estimator_variance,
     leg_kernels,
     mixed_moment_mu11,
@@ -280,3 +282,32 @@ class TestVariancePipeline:
     def test_sizes_required_for_exponential_legs(self):
         with pytest.raises(ValidationError):
             variance_pipeline(reference_scenario(140.0), r=50, mode="closed_form")
+
+
+# Tenth-minute observations against whole-number slack. Some services are
+# drawn as t minus a delay, so pairs tie at x + y = t in decimal, and the
+# resampler's test fl(x + y) <= t decides each tie (0.1 + 0.9 fits t = 1
+# although 0.1 > fl(1 - 0.9)).
+@st.composite
+def tie_legs(draw):
+    t = draw(st.integers(1, 3))
+    tenths = st.integers(0, 10 * t)
+    delays = draw(st.lists(tenths, min_size=1, max_size=3))
+    complements = st.sampled_from([10 * t - a for a in delays])
+    services = draw(st.lists(st.one_of(tenths, complements), min_size=1, max_size=3))
+    samples = LegSamples(tuple(a / 10 for a in delays), tuple(b / 10 for b in services))
+    return samples, float(t)
+
+
+@given(st.lists(tie_legs(), min_size=1, max_size=2), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_sample_kernels_match_enumeration_on_ties(legs, r):
+    scenario = Scenario(
+        plan=CirculationPlan(tuple(t for _, t in legs)),
+        legs=tuple(Leg(samples=samples) for samples, _ in legs),
+    )
+    exact = enumerate_exact(scenario, ResamplingConfig(r=r), samples_random=True)
+    for mode in ("plugin", "quadrature"):
+        report = variance_pipeline(scenario, r=r, mode=mode)
+        assert abs(report.theta - exact.expected_theta_star) <= 1e-12
+        assert abs(report.variance - exact.exact_variance) <= 1e-12
