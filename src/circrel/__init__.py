@@ -19,7 +19,6 @@ from .errors import (
     IndexOutOfRange,
     InvalidSampleValue,
     LegCountMismatch,
-    LengthMismatch,
     MissingSamples,
     NegativeSlack,
     NegativeTime,
@@ -44,7 +43,6 @@ from .plan import (
     Leg,
     LegSamples,
     Scenario,
-    indicator_phi,
     plan_reliability,
     validate_scenario,
 )

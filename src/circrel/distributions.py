@@ -8,12 +8,13 @@ CDF this is the Stieltjes convolution
 
 which this module evaluates three ways:
 
-* ``leg_reliability_exponential`` -- closed form for exponential X and Y
-  (the CDF of a two-stage hypoexponential sum), with an Erlang-2 limit when
-  the two rates nearly coincide;
+* ``leg_reliability_exponential`` -- exact for exponential X and Y: the CDF
+  of a two-stage hypoexponential sum, from ``_hypoexponential_cdf``, the
+  divided-difference evaluator that also gives the variance module its
+  one-sided kernels;
 * ``leg_reliability_quadrature`` -- adaptive quadrature of the integral for
-  a pair of exponential laws, the independent cross-check for the closed
-  forms;
+  a pair of exponential laws, the independent cross-check for the
+  evaluator;
 * ``leg_reliability_plugin`` -- the empirical plug-in, an exact count over
   all sample pairs.
 
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -37,10 +39,16 @@ from .errors import NegativeTime, NonpositiveRate
 from .plan import ExponentialLegModel, LegSamples
 from .quadrature import adaptive_quadrature
 
-# Two rates a, b count as coincident when |a - b| <= RATE_TUBE * max(a, b).
-# Wide enough to clear catastrophic cancellation in the closed forms, narrow
-# enough that limit-form fallbacks stay within 1e-6 of the exact value.
-RATE_TUBE = 1e-6
+# Stage values rate * t are capped here. A stage this fast moves the CDF by
+# less than 1e-26 relative, while an uncapped one can overflow the node
+# products and differences (inf - inf is nan).
+_FASTEST_STAGE = 1e30
+
+# Entries (i, j) of a Newton table over m + 1 nodes, one order at a time.
+_NEWTON_STEPS = {
+    m: tuple((i, i + order) for order in range(1, m + 1) for i in range(m + 1 - order))
+    for m in (1, 2, 3)
+}
 
 
 @dataclass(frozen=True)
@@ -59,34 +67,76 @@ class Exponential:
         return out if out.ndim else float(out)
 
 
-def rates_nearly_equal(a: float, b: float, tube: float = RATE_TUBE) -> bool:
-    """True when a and b fall inside the relative coincidence tube."""
-    return abs(a - b) <= tube * max(abs(a), abs(b))
-
-
 def _require_nonnegative_time(t: float) -> None:
     if t < 0 or not math.isfinite(t):
         raise NegativeTime(f"slack time {t!r}")
 
 
+def _exp_divided_difference_taylor(x: list[float]) -> float:
+    """exp[-x_0, ..., -x_j] for ascending x spanning less than 1, by Taylor series.
+
+    About the lowest node -x_j, exp[-x] = e^{-x_j} * sum_k h_k(w) / (k + j)!,
+    where the offsets w_i = x_j - x_i lie in [0, 1) and h_k is the complete
+    homogeneous polynomial of degree k (the lowest node's own offset is 0 and
+    drops out). Every term is nonnegative and smaller than the one before,
+    so the sum stops once a term no longer changes it.
+    """
+    low = x[-1]
+    offsets = [low - v for v in x[:-1]]
+    h = [1.0] * len(offsets)  # h[i] = h_k(w_0, ..., w_i), here for k = 0
+    k = len(offsets)
+    scale = 1.0 / math.factorial(k)
+    total = scale
+    while True:
+        k += 1
+        acc = 0.0
+        for i, w in enumerate(offsets):
+            acc += w * h[i]
+            h[i] = acc
+        scale /= k
+        term = acc * scale
+        if total + term == total:
+            return math.exp(-low) * total
+        total += term
+
+
+def _hypoexponential_cdf(rates: Sequence[float], t: float) -> float:
+    """P(E_1 + ... + E_m <= t) for independent E_i ~ Exp(rates[i]), m <= 3.
+
+    With stage values x_i = rates[i] * t the CDF is (x_1 ... x_m) times the
+    divided difference exp[0, -x_1, ..., -x_m] (Opitz, ZAMM 44, 1964;
+    McCurdy, Ng and Parlett, Math. Comp. 43, 1984), read off a Newton table
+    over the nodes in descending order. An entry whose nodes span 1 or more
+    comes from the recurrence, whose subtraction then loses only a few bits;
+    a narrower one comes from its Taylor series. Equal or nearly equal rates
+    are confluent nodes, not a special case.
+    """
+    x = [0.0]
+    x += sorted([rate * t for rate in rates])
+    if x[-1] > _FASTEST_STAGE:
+        x = [min(v, _FASTEST_STAGE) for v in x]
+    # Built in place: row[i] holds exp[-x_i, ..., -x_j] once (i, j) is done.
+    row = [math.exp(-v) for v in x]
+    for i, j in _NEWTON_STEPS[len(rates)]:
+        span = x[j] - x[i]
+        if span >= 1.0:
+            row[i] = (row[i] - row[i + 1]) / span
+        elif j == i + 1:
+            # The two-node series sums to e^{-x_j} * expm1(span) / span.
+            row[i] = row[j] * (math.expm1(span) / span if span else 1.0)
+        else:
+            row[i] = _exp_divided_difference_taylor(x[i : j + 1])
+    return min(1.0, max(0.0, math.prod(x[1:]) * row[0]))
+
+
 def leg_reliability_exponential(leg: ExponentialLegModel, t: float) -> float:
-    """Closed-form P(X + Y <= t) for exponential delay and service laws.
+    """P(X + Y <= t) for exponential delay and service laws.
 
-    With distinct rates a (delay) and b (service):
-
-        R(t) = 1 - (a e^{-bt} - b e^{-at}) / (a - b),
-
-    the hypoexponential CDF. Inside the rate-coincidence tube the Erlang-2
-    limit 1 - (1 + at) e^{-at} is used instead; its deviation from the exact
-    value across the tube is below 1e-6.
+    The CDF of the two-stage hypoexponential sum Exp(a) + Exp(b), with a the
+    delay rate and b the service rate; b = a needs no special case.
     """
     _require_nonnegative_time(t)
-    a, b = leg.delay_rate, leg.service_rate
-    if rates_nearly_equal(a, b):
-        value = 1.0 - (1.0 + a * t) * math.exp(-a * t)
-    else:
-        value = 1.0 - (a * math.exp(-b * t) - b * math.exp(-a * t)) / (a - b)
-    return min(1.0, max(0.0, value))
+    return _hypoexponential_cdf((leg.delay_rate, leg.service_rate), t)
 
 
 def stieltjes_expectation(f, weight: Exponential, t: float) -> float:
@@ -105,8 +155,8 @@ def stieltjes_expectation(f, weight: Exponential, t: float) -> float:
 def leg_reliability_quadrature(F: Exponential, G: Exponential, t: float) -> float:
     """P(X + Y <= t) by direct evaluation of the convolution integral.
 
-    X ~ F, Y ~ G independent exponential laws. Agrees with the closed form to
-    the quadrature tolerance.
+    X ~ F, Y ~ G independent exponential laws. Agrees with
+    ``leg_reliability_exponential`` to the quadrature tolerance.
     """
     _require_nonnegative_time(t)
     value = stieltjes_expectation(lambda x: F.cdf(t - x), G, t)

@@ -45,10 +45,6 @@ class LegCountMismatch(ValidationError):
     """Number of leg models differs from the plan's leg count."""
 
 
-class LengthMismatch(ValidationError):
-    """Vector argument length differs from the plan's leg count."""
-
-
 class OutOfRangeProbability(ValidationError):
     """A probability argument lies outside [0, 1]."""
 

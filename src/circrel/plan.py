@@ -28,7 +28,6 @@ from .errors import (
     EmptySample,
     InvalidSampleValue,
     LegCountMismatch,
-    LengthMismatch,
     NegativeSlack,
     NonpositiveRate,
     OutOfRangeProbability,
@@ -126,20 +125,6 @@ def validate_scenario(raw: Scenario) -> Scenario:
                 if not math.isfinite(rate) or rate <= 0:
                     raise NonpositiveRate(f"{name} rate {rate!r}", leg=i)
     return raw
-
-
-def indicator_phi(
-    x: Sequence[float], y: Sequence[float], plan: CirculationPlan
-) -> int:
-    """1 if every leg fits its slack (x_i + y_i <= t_i, ties succeed), else 0."""
-    if len(x) != plan.k or len(y) != plan.k:
-        raise LengthMismatch(
-            f"expected {plan.k} delays and services, got {len(x)} and {len(y)}"
-        )
-    for xi, yi, ti in zip(x, y, plan.intervals):
-        if xi + yi > ti:
-            return 0
-    return 1
 
 
 def plan_reliability(per_leg: Sequence[float]) -> float:

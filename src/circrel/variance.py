@@ -28,18 +28,18 @@ weighted sum of the conditional moments; because both factor per leg, the
 4**k-term sum regroups into a k-factor product, which is the default method
 (``factorized``). The literal sum (``enumerate``) is kept as an audit path.
 
-For exponential legs with delay rate a and service rate b the two one-sided
-kernels have closed forms,
+For exponential legs with delay rate a and service rate b every kernel is
+the CDF of a sum of independent exponentials. F**2 is the CDF of the larger
+of two Exp(a) draws, which is distributed as Exp(2a) + Exp(a), so
 
-    E[F(t - Y)**2] = 1 - (2a^2 e^{-bt} - 2b(2a - b) e^{-at}
-                          + b(a - b) e^{-2at}) / ((a - b)(2a - b)),
+    E[F(t - Y)**2] = P(Exp(a) + Exp(2a) + Exp(b) <= t),
 
-and the delay-only case is the same expression with a and b swapped. Near
-the denominator zeros (equal rates, or one rate double the other) the
-closed forms cancel catastrophically; inside a narrow relative tube around
-those lines the kernel is evaluated by adaptive quadrature instead and the
-evaluation is flagged ``near_singular``. Quadrature mode integrates the
-exponential laws directly.
+and the delay-only kernel swaps a and b. Closed-form mode evaluates all
+three through ``distributions._hypoexponential_cdf``, as divided differences
+of exp. The lines b = a, b = 2a and a = 2b, where two of those rates
+coincide, are confluent nodes there and need no fallback, so no evaluation
+is flagged ``near_singular``. Quadrature mode integrates the exponential
+laws directly and stays the independent cross-check.
 
 For sample legs, in plug-in mode and in quadrature mode on legs without
 rates, every kernel is a ratio of integer pair counts under the resampler's
@@ -54,17 +54,16 @@ so ties x + y = t count as fits exactly as they do when resampling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 from .distributions import (
     Exponential,
+    _hypoexponential_cdf,
     _pair_fits,
     leg_reliability_exponential,
     leg_reliability_plugin,
     leg_reliability_quadrature,
-    rates_nearly_equal,
     stieltjes_expectation,
 )
 from .errors import (
@@ -85,7 +84,11 @@ NEGATIVE_VARIANCE_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class KernelEvaluation:
-    """One kernel value plus how it was obtained."""
+    """One kernel value plus how it was obtained.
+
+    ``near_singular`` is kept in the report format; no evaluation path sets
+    it now.
+    """
 
     value: float
     method: str
@@ -143,27 +146,10 @@ def omega_probability(omega: Iterable[int], sizes: Sequence[int]) -> float:
     return p
 
 
-def _clamp(p: float) -> float:
-    return min(1.0, max(0.0, p))
-
-
-def _exponential_one_sided(a: float, b: float, t: float) -> KernelEvaluation:
-    """E[F(t - Y)**2] for X ~ Exp(a), Y ~ Exp(b); quadrature inside the tubes."""
-    if rates_nearly_equal(a, b) or rates_nearly_equal(2.0 * a, b):
-        value = _squared_cdf_expectation(Exponential(a), Exponential(b), t)
-        return KernelEvaluation(value, "quadrature", True)
-    num = (
-        2.0 * a * a * math.exp(-b * t)
-        - 2.0 * b * (2.0 * a - b) * math.exp(-a * t)
-        + b * (a - b) * math.exp(-2.0 * a * t)
-    )
-    value = _clamp(1.0 - num / ((a - b) * (2.0 * a - b)))
-    return KernelEvaluation(value, "closed_form")
-
-
 def _squared_cdf_expectation(F: Exponential, G: Exponential, t: float) -> float:
     """E[F(t - Y)**2] with Y ~ G, by quadrature."""
-    return _clamp(stieltjes_expectation(lambda x: F.cdf(t - x) ** 2, G, t))
+    value = stieltjes_expectation(lambda x: F.cdf(t - x) ** 2, G, t)
+    return min(1.0, max(0.0, value))
 
 
 def _resolve_mode(leg: Leg, mode: KernelMode, index: int) -> str:
@@ -185,14 +171,9 @@ def leg_kernels(leg: Leg, t: float, mode: KernelMode, index: int = 0) -> LegKern
     resolved = _resolve_mode(leg, mode, index)
     if resolved == "closed_form":
         a, b = leg.rates.delay_rate, leg.rates.service_rate
-        in_tube = rates_nearly_equal(a, b)
-        both = KernelEvaluation(
-            leg_reliability_exponential(leg.rates, t),
-            "erlang_limit" if in_tube else "closed_form",
-            in_tube,
-        )
-        service_only = _exponential_one_sided(a, b, t)
-        delay_only = _exponential_one_sided(b, a, t)
+        both = KernelEvaluation(leg_reliability_exponential(leg.rates, t), resolved)
+        service_only = KernelEvaluation(_hypoexponential_cdf((a, 2.0 * a, b), t), resolved)
+        delay_only = KernelEvaluation(_hypoexponential_cdf((b, 2.0 * b, a), t), resolved)
     elif resolved == "quadrature" and leg.rates is not None:
         F = Exponential(leg.rates.delay_rate)
         G = Exponential(leg.rates.service_rate)
@@ -211,9 +192,7 @@ def leg_kernels(leg: Leg, t: float, mode: KernelMode, index: int = 0) -> LegKern
         both = KernelEvaluation(leg_reliability_plugin(leg.samples, t), resolved)
         service_only = KernelEvaluation(int(c @ c) / (nx * nx * ny), resolved)
         delay_only = KernelEvaluation(int(d @ d) / (ny * ny * nx), resolved)
-    neither = KernelEvaluation(
-        _clamp(both.value * both.value), both.method, both.near_singular
-    )
+    neither = KernelEvaluation(both.value * both.value, both.method)
     return LegKernels(both, neither, service_only, delay_only)
 
 
@@ -247,14 +226,18 @@ def _sizes_for(
 def _mu11_factorized(
     kernels: Sequence[LegKernels], sizes_x: Sequence[int], sizes_y: Sequence[int]
 ) -> float:
+    # Each leg's factor is R**2 plus the three coincidence corrections, so
+    # it is exactly 1 when R = S = D = 1 and exactly 0 when all three are 0;
+    # the four pattern weights need not sum to 1 in floating point.
     product = 1.0
     for kern, nx, ny in zip(kernels, sizes_x, sizes_y):
         px, py = 1.0 / nx, 1.0 / ny
+        r2 = kern.neither.value
         product *= (
-            px * py * kern.both.value
-            + (1.0 - px) * (1.0 - py) * kern.neither.value
-            + (1.0 - px) * py * kern.service_only.value
-            + px * (1.0 - py) * kern.delay_only.value
+            r2
+            + px * (1.0 - py) * (kern.delay_only.value - r2)
+            + (1.0 - px) * py * (kern.service_only.value - r2)
+            + px * py * (kern.both.value - r2)
         )
     return product
 

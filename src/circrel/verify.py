@@ -5,8 +5,8 @@ Three suites, mirroring the three trust boundaries:
 * ``exact``    -- exhaustive enumeration vs the plug-in analytic variance on
                   tiny fixtures (tolerance 1e-12);
 * ``kernels``  -- exponential closed-form kernels vs adaptive quadrature on a
-                  rate/time grid (1e-8 off the singular tubes, 1e-6 fallback
-                  continuity across them);
+                  rate/time grid, and on and just off the lines b = a,
+                  b = 2a and a = 2b where two kernel rates coincide (1e-8);
 * ``montecarlo`` -- joint-law simulation vs the analytic variance within
                   statistical error.
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .distributions import RATE_TUBE, leg_reliability_plugin
+from .distributions import leg_reliability_plugin
 from .oracles import enumerate_exact, simulate_pipeline_variance
 from .plan import (
     CirculationPlan,
@@ -117,46 +117,39 @@ _GRID_TIMES = (2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 400.0)
 _CASES = ("both", "neither", "service_only", "delay_only")
 
 
-def kernels_suite() -> list[CheckResult]:
-    """Closed-form kernels vs quadrature off the tubes; continuity across them."""
+def _worst_closed_vs_quadrature(legs, times) -> tuple[float, int]:
+    """Largest closed-form vs quadrature kernel gap, and the points compared."""
     worst = 0.0
     compared = 0
-    for a in _GRID_RATES:
-        for b in _GRID_RATES:
-            leg = Leg(rates=ExponentialLegModel(a, b))
-            for t in _GRID_TIMES:
-                closed = leg_kernels(leg, t, "closed_form")
-                quad = leg_kernels(leg, t, "quadrature")
-                for case in _CASES:
-                    c = getattr(closed, case)
-                    if c.near_singular:
-                        continue
-                    compared += 1
-                    worst = max(worst, abs(c.value - getattr(quad, case).value))
+    for leg in legs:
+        for t in times:
+            closed = leg_kernels(leg, t, "closed_form")
+            quad = leg_kernels(leg, t, "quadrature")
+            for case in _CASES:
+                compared += 1
+                worst = max(worst, abs(
+                    getattr(closed, case).value - getattr(quad, case).value
+                ))
+    return worst, compared
+
+
+def kernels_suite() -> list[CheckResult]:
+    """Closed-form kernels vs quadrature on a rate grid and on the tube lines."""
+    grid = [Leg(rates=ExponentialLegModel(a, b))
+            for a in _GRID_RATES for b in _GRID_RATES]
+    worst, compared = _worst_closed_vs_quadrature(grid, _GRID_TIMES)
     results = [_check(f"grid_closed_vs_quadrature[{compared} points]", worst, 1e-8)]
 
-    # Straddle each tube edge with a pair of rate points 0.2% of the tube
-    # width apart, so any jump measured is the evaluation-path switch, not
-    # genuine variation of the kernel.
-    jump = 0.0
-    for base in (0.02, 0.1):
-        for t in (10.0, 50.0, 200.0):
-            for line in (1.0, 2.0, 0.5):  # b = a, b = 2a, a = 2b
-                center = line * base
-                for side in (1.0 - 0.999 * RATE_TUBE, 1.0 + 0.999 * RATE_TUBE):
-                    b_in = center * side
-                    b_out = center * (1.0 + (side - 1.0) * 1.001 / 0.999)
-                    inside = leg_kernels(
-                        Leg(rates=ExponentialLegModel(base, b_in)), t, "closed_form"
-                    )
-                    outside = leg_kernels(
-                        Leg(rates=ExponentialLegModel(base, b_out)), t, "closed_form"
-                    )
-                    for case in _CASES:
-                        jump = max(jump, abs(
-                            getattr(inside, case).value - getattr(outside, case).value
-                        ))
-    results.append(_check("tube_fallback_continuity", jump, 1e-6))
+    # On b = a, b = 2a and a = 2b two of a kernel's rates coincide; step
+    # 1e-7, 1e-6 and 1e-5 relative off each line to either side as well.
+    tube = [
+        Leg(rates=ExponentialLegModel(base, line * base * (1.0 + offset)))
+        for base in (0.02, 0.1)
+        for line in (1.0, 2.0, 0.5)
+        for offset in (0.0, 1e-7, -1e-7, 1e-6, -1e-6, 1e-5, -1e-5)
+    ]
+    worst, _ = _worst_closed_vs_quadrature(tube, (10.0, 50.0, 200.0))
+    results.append(_check("tube_lines_closed_vs_quadrature", worst, 1e-8))
     return results
 
 

@@ -24,6 +24,33 @@ def reference_scenario(t: float, k: int = 5) -> Scenario:
     )
 
 
+def mp_exponential_kernels(a: float, b: float, t: float, dps: int = 30):
+    """R, S and D of an exponential leg as mpmath numbers, for reference checks.
+
+    By Opitz's theorem exp(A), for A bidiagonal with nodes z on the diagonal
+    and ones above it, holds exp[z_i, ..., z_j] at (i, j). With nodes
+    -t * (2a, a, 0, b, 2b) in that order, R, S = P(Exp(a) + Exp(2a) + Exp(b)
+    <= t) and D (a and b swapped) are the entries over (a, 0, b),
+    (2a, a, 0, b) and (a, 0, b, 2b), times their stage values. exp(A) is
+    entrywise nonnegative, so mpmath's squaring steps lose no digits.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(rate) * t for rate in (2 * a, a, 0.0, b, 2 * b)]
+        A = mpmath.zeros(5, 5)
+        for i, v in enumerate(x):
+            A[i, i] = -v
+            if i < 4:
+                A[i, i + 1] = 1
+        E = mpmath.expm(A)
+        return (
+            x[1] * x[3] * E[1, 3],
+            x[0] * x[1] * x[3] * E[0, 3],
+            x[1] * x[3] * x[4] * E[1, 4],
+        )
+
+
 def two_point_scenario() -> Scenario:
     """One leg, two-point samples, slack 4: exactly 3 of 4 pairs fit."""
     return Scenario(

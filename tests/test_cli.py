@@ -191,6 +191,19 @@ class TestVarianceCommand:
         report = json.loads(out)
         assert 0.0 <= report["variance"] <= 0.25
 
+    def test_every_pair_fits_mu11_is_one(self, tmp_path, capsys):
+        path = tmp_path / "fits.json"
+        path.write_text(json.dumps({
+            "intervals": [1],
+            "legs": [{"delay": {"samples": [0, 0, 0]},
+                      "service": {"samples": [0] * 6}}],
+        }))
+        code, out, err = run_cli(
+            ["variance", str(path), "--mode", "plugin", "-r", "5"], capsys
+        )
+        assert code == 0, err
+        assert json.loads(out)["mu11"] == 1.0
+
     def test_sizes_required_for_rates_exit_2(self, capsys):
         code, _, err = run_cli(["variance", FIVE_LEG, "--resamples", "50"], capsys)
         assert code == 2 and "sample sizes" in err
@@ -238,6 +251,17 @@ class TestSweepCommand:
         for _, theta, _, variance in rows:
             spread = theta * (1.0 - theta)
             assert spread / 50 - 1e-13 <= variance <= spread + 1e-13
+
+    def test_upper_tail_mu11_stays_in_range(self, capsys):
+        code, out, err = run_cli(
+            ["sweep", FIVE_LEG, "--sample-size", "5", "--t-grid", "5000:6000:1000"],
+            capsys,
+        )
+        assert code == 0, err
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [float(t) for t, *_ in rows] == [5000.0, 6000.0]
+        assert all(0.0 <= float(mu11) <= 1.0 for _, _, mu11, _ in rows)
+        assert float(rows[0][2]) == 1.0
 
     def test_bad_grid_exit_2(self, capsys):
         for grid in ("300:20:40", "20:300:0", "20:300", "a:b:c"):

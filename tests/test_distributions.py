@@ -16,10 +16,19 @@ from circrel import (
     leg_reliability_plugin,
     leg_reliability_quadrature,
 )
-from circrel.distributions import rates_nearly_equal
+from tests.conftest import mp_exponential_kernels
 
 rates = st.floats(0.005, 0.5)
 times = st.floats(0.0, 500.0)
+# Pairs on the lines b = a, b = 2a and a = 2b, where two kernel rates
+# coincide, exactly or nudged just off them.
+tube_pairs = st.builds(
+    lambda a, line, nudge: (a, line * a * (1.0 + nudge)),
+    rates,
+    st.sampled_from((1.0, 2.0, 0.5)),
+    st.sampled_from((0.0, 1e-9, -1e-7, 3e-6, -1e-5)),
+)
+CASES = ("both", "service_only", "delay_only")
 
 
 class TestCdf:
@@ -52,15 +61,46 @@ class TestExponentialClosedForm:
         grid = [leg_reliability_exponential(leg, t) for t in np.linspace(0, 400, 200)]
         assert all(b >= a - 1e-12 for a, b in zip(grid, grid[1:]))
 
-    @given(rates, rates, times)
+    @given(st.one_of(st.tuples(rates, rates), tube_pairs), times)
     @settings(max_examples=150)
-    def test_matches_quadrature_off_tube(self, a, b, t):
-        if rates_nearly_equal(a, b):
-            return
+    def test_matches_quadrature_including_tube_lines(self, pair, t):
+        a, b = pair
         closed = leg_reliability_exponential(ExponentialLegModel(a, b), t)
         quad = leg_reliability_quadrature(Exponential(a), Exponential(b), t)
         assert abs(closed - quad) < 1e-8
         assert 0.0 <= closed <= 1.0
+
+    def test_kernels_match_mpmath(self):
+        pytest.importorskip("mpmath")
+        pairs = [(0.05, 0.02), (0.2, 0.01)] + [
+            (0.05, line * 0.05 * (1.0 + nudge))
+            for line in (1.0, 2.0, 0.5)
+            for nudge in (0.0, 1e-7, -3e-6)
+        ]
+        worst = 0.0
+        for a, b in pairs:
+            leg = Leg(rates=ExponentialLegModel(a, b))
+            for t in (1e-3, 1.0, 10.0, 140.0, 1200.0, 5000.0, 1e4):
+                kernels = leg_kernels(leg, t, "closed_form")
+                for case, exact in zip(CASES, mp_exponential_kernels(a, b, t)):
+                    got = getattr(kernels, case).value
+                    worst = max(worst, float(abs(got - exact) / exact))
+        assert worst <= 1e-13
+
+    def test_extreme_inputs_stay_in_range(self):
+        # Once rate * t overflows, naive node differences are inf - inf.
+        for a in (1e300, 1.0, 1e-300):
+            for b in (1e300, 1.0, 1e-300):
+                leg = Leg(rates=ExponentialLegModel(a, b))
+                for t in (0.0, 1e-10, 1.0, 1e10):
+                    kernels = leg_kernels(leg, t, "closed_form")
+                    for case in CASES:
+                        value = getattr(kernels, case).value
+                        assert 0.0 <= value <= 1.0, (a, b, t, case, value)
+                        assert t > 0.0 or value == 0.0
+        # A stage far faster than the slack leaves the other one's CDF.
+        fast = leg_reliability_exponential(ExponentialLegModel(1e300, 1.0), 1.0)
+        assert fast == pytest.approx(-math.expm1(-1.0), rel=1e-15)
 
 
 class TestQuadratureKernel:
@@ -94,7 +134,7 @@ class TestPluginKernel:
 
 
 def test_tube_fallback_continuous():
-    # Crossing the equal-rate tube edge moves the value by far less than 1e-6.
+    # Stepping across b = a * (1 - 1e-6) moves the value by far less than 1e-6.
     a = 0.05
     for t in (20.0, 140.0, 400.0):
         inside = leg_reliability_exponential(

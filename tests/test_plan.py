@@ -13,12 +13,10 @@ from circrel import (
     Leg,
     LegCountMismatch,
     LegSamples,
-    LengthMismatch,
     NegativeSlack,
     NonpositiveRate,
     OutOfRangeProbability,
     Scenario,
-    indicator_phi,
     plan_reliability,
     validate_scenario,
 )
@@ -80,45 +78,6 @@ class TestValidateScenario:
         scenario = Scenario(plan=CirculationPlan((5.0,)), legs=(Leg(),))
         with pytest.raises(LegCountMismatch):
             validate_scenario(scenario)
-
-
-class TestIndicator:
-    def test_zero_sums_fit(self):
-        plan = CirculationPlan((5.0, 5.0))
-        assert indicator_phi((0.0, 0.0), (0.0, 0.0), plan) == 1
-
-    def test_single_violated_leg(self):
-        plan = CirculationPlan((5.0, 5.0))
-        assert indicator_phi((3.0, 1.0), (3.0, 1.0), plan) == 0
-
-    def test_boundary_is_inclusive(self):
-        plan = CirculationPlan((5.0, 5.0))
-        assert indicator_phi((2.0, 2.0), (3.0, 3.0), plan) == 1
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            indicator_phi((1.0,), (1.0, 2.0), CirculationPlan((5.0, 5.0)))
-
-    @given(
-        st.lists(st.floats(0.0, 100.0), min_size=1, max_size=6),
-        st.data(),
-    )
-    def test_monotone_in_slack_and_loads(self, intervals, data):
-        k = len(intervals)
-        x = data.draw(st.lists(st.floats(0.0, 100.0), min_size=k, max_size=k))
-        y = data.draw(st.lists(st.floats(0.0, 100.0), min_size=k, max_size=k))
-        bump = data.draw(st.floats(0.0, 50.0))
-        leg = data.draw(st.integers(0, k - 1))
-        plan = CirculationPlan(tuple(intervals))
-        base = indicator_phi(x, y, plan)
-
-        wider = list(intervals)
-        wider[leg] += bump
-        assert indicator_phi(x, y, CirculationPlan(tuple(wider))) >= base
-
-        slower = list(x)
-        slower[leg] += bump
-        assert indicator_phi(slower, y, plan) <= base
 
 
 class TestPlanReliability:

@@ -24,7 +24,15 @@ from circrel import (
     omega_probability,
     variance_pipeline,
 )
-from tests.conftest import reference_scenario, random_scenario, random_sizes
+from circrel import distributions
+from tests.conftest import (
+    REFERENCE_DELAY_RATE,
+    REFERENCE_SERVICE_RATE,
+    mp_exponential_kernels,
+    random_scenario,
+    random_sizes,
+    reference_scenario,
+)
 
 # Kernel values at rates (0.05, 0.02), t = 140, frozen from the quadrature
 # route (relative error <= 1e-9).
@@ -115,13 +123,34 @@ class TestKernels:
         assert kernels.delay_only.value == pytest.approx(0.625, abs=1e-15)
 
     def test_near_singular_flags(self):
-        equal = leg_kernels(Leg(rates=ExponentialLegModel(0.05, 0.05)), 40.0, "closed_form")
-        assert equal.both.method == "erlang_limit" and equal.both.near_singular
-        assert equal.service_only.method == "quadrature" and equal.service_only.near_singular
-        double = leg_kernels(Leg(rates=ExponentialLegModel(0.05, 0.1)), 40.0, "closed_form")
-        assert double.service_only.near_singular
-        assert not double.delay_only.near_singular
-        assert not double.both.near_singular
+        # On b = a, b = 2a and a = 2b two kernel rates coincide; they are
+        # confluent nodes of one evaluator, with no fallback and no flag.
+        for b in (0.05, 0.1, 0.025):
+            leg = Leg(rates=ExponentialLegModel(0.05, b))
+            closed = leg_kernels(leg, 40.0, "closed_form")
+            quad = leg_kernels(leg, 40.0, "quadrature")
+            for case in ("both", "neither", "service_only", "delay_only"):
+                kernel = getattr(closed, case)
+                assert kernel.method == "closed_form" and not kernel.near_singular
+                assert kernel.value == pytest.approx(
+                    getattr(quad, case).value, abs=1e-8
+                )
+
+    def test_closed_form_makes_no_quadrature_calls(self, monkeypatch):
+        calls = []
+        real = distributions.adaptive_quadrature
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(distributions, "adaptive_quadrature", counted)
+        for b in (0.02, 0.05, 0.1, 0.025, 0.05 * (1.0 + 3e-7)):
+            leg = Leg(rates=ExponentialLegModel(0.05, b))
+            leg_kernels(leg, 40.0, "closed_form")
+        assert calls == []
+        leg_kernels(leg, 40.0, "quadrature")
+        assert len(calls) == 3
 
     def test_mode_requirements(self):
         with pytest.raises(ValidationError):
@@ -278,6 +307,28 @@ class TestVariancePipeline:
         report = variance_pipeline(scenario, r=3, mode="plugin")
         assert report.kernel_mode == "plugin"
         assert 0.0 <= report.variance <= 0.25
+
+    @pytest.mark.parametrize("t", [0.001, 1.0])
+    def test_reference_matches_mpmath_at_small_slack(self, t):
+        mpmath = pytest.importorskip("mpmath")
+        n, r = 20, 50
+        report = variance_pipeline(
+            reference_scenario(t), r=r, mode="closed_form",
+            sizes_x=[n] * 5, sizes_y=[n] * 5,
+        )
+        with mpmath.workdps(30):
+            R, S, D = mp_exponential_kernels(
+                REFERENCE_DELAY_RATE, REFERENCE_SERVICE_RATE, t
+            )
+            p = mpmath.mpf(1) / n
+            factor = p * p * R + (1 - p) ** 2 * R * R + (1 - p) * p * (S + D)
+            theta = R**5
+            mu11 = factor**5
+            variance = theta / r + mpmath.mpf(r - 1) / r * mu11 - theta * theta
+            for got, exact in (
+                (report.theta, theta), (report.mu11, mu11), (report.variance, variance)
+            ):
+                assert abs(got - exact) <= 1e-12 * exact
 
     def test_sizes_required_for_exponential_legs(self):
         with pytest.raises(ValidationError):
