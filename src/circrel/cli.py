@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -58,7 +59,7 @@ from .plan import (
     validate_scenario,
 )
 from .resampler import ResamplingConfig, resample_estimate
-from .variance import VarianceReport, variance_pipeline
+from .variance import VarianceReport, _sweep, variance_pipeline
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -276,15 +277,13 @@ def _parse_grid(grid_spec: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ValidationError(f"--t-grid {grid_spec!r} must be numeric") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValidationError(f"--t-grid {grid_spec!r} must be finite")
     if step <= 0 or stop < start:
         raise ValidationError(f"--t-grid {grid_spec!r} needs step > 0 and stop >= start")
-    grid = []
-    t = start
-    i = 0
-    while t <= stop + 1e-9 * step:
+    grid = [start]
+    while (t := start + len(grid) * step) <= stop + 1e-9 * step:
         grid.append(t)
-        i += 1
-        t = start + i * step
     return grid
 
 
@@ -293,21 +292,8 @@ def _cmd_sweep(args) -> int:
     sizes_x, sizes_y = _sizes_from_args(args, scenario)
     grid = _parse_grid(args.t_grid)
     sys.stdout.write("t,theta,mu11,variance\n")
-    for t in grid:
-        point = Scenario(
-            plan=CirculationPlan((t,) * scenario.plan.k),
-            legs=scenario.legs,
-            label=scenario.label,
-            time_unit=scenario.time_unit,
-        )
-        report = variance_pipeline(
-            point,
-            r=args.resamples,
-            mode=args.mode,
-            method=args.method,
-            sizes_x=sizes_x,
-            sizes_y=sizes_y,
-        )
+    rows = _sweep(scenario, grid, args.resamples, args.mode, args.method, sizes_x, sizes_y)
+    for t, report in rows:
         sys.stdout.write(f"{t!r},{report.theta!r},{report.mu11!r},{report.variance!r}\n")
     return EXIT_OK
 

@@ -20,8 +20,9 @@ which this module evaluates three ways:
 
 Sample legs use one fit rule everywhere: a delay/service pair fits when the
 floating-point sum satisfies x + y <= t, the resampler's own test, so a tie
-x + y = t fits. ``_pair_fits`` applies it once per pair; every sample-leg
-kernel is a ratio of integer counts of its matrix.
+x + y = t fits. ``_fit_counts`` is the only place it is written; every
+sample-leg kernel is a ratio of the integer counts it returns, for one slack
+or a whole grid of slacks in one pass.
 
 Supports are nonnegative throughout: F(u) = G(u) = 0 for u < 0, so every
 integral truncates to [0, t].
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
@@ -163,20 +165,30 @@ def leg_reliability_quadrature(F: Exponential, G: Exponential, t: float) -> floa
     return min(1.0, max(0.0, value))
 
 
-def _pair_fits(samples: LegSamples, t: float) -> np.ndarray:
-    """Boolean pair matrix: entry (i, j) is fl(delay_i + service_j) <= t.
+def _fit_counts(first, second, ts: Sequence[float]) -> tuple[list[int], list[int]]:
+    """Per slack t of ts, sum(c) and sum(c**2), where c_j counts the values u
+    of ``first`` with fl(u + second[j]) <= t.
 
-    The only place the sample-leg fit rule is written. Its column sums c_j
-    count the delays that fit with service j, its row sums d_i the services
-    that fit with delay i.
+    The only place the sample-leg fit rule is written. fl(u + v) is monotone
+    in u, so c_j over the whole grid is one searchsorted of the sums of the
+    sorted ``first``; only O(len(ts)) accumulators are kept.
     """
-    _require_nonnegative_time(t)
-    x = np.asarray(samples.delays, dtype=float)
-    y = np.asarray(samples.services, dtype=float)
-    return x[:, None] + y[None, :] <= t
+    for t in ts:
+        _require_nonnegative_time(t)
+    grid = np.asarray(ts, dtype=float)
+    ordered = np.sort(np.asarray(first, dtype=float))
+    total, squares = np.zeros((2, len(grid)), dtype=np.int64)
+    for v in np.asarray(second, dtype=float).tolist():
+        c = np.searchsorted(ordered + v, grid, side="right")
+        total += c
+        squares += c * c
+    return total.tolist(), squares.tolist()
 
 
-def leg_reliability_plugin(samples: LegSamples, t: float) -> float:
-    """Fraction of delay/service sample cross-pairs with x + y <= t."""
-    fits = _pair_fits(samples, t)
-    return int(np.count_nonzero(fits)) / fits.size
+def leg_reliability_plugin(samples: LegSamples, t: float | Sequence[float]) -> float | list[float]:
+    """Fraction of delay/service sample cross-pairs with x + y <= t, for one
+    slack t or, as a list, for each slack of a sequence."""
+    single = isinstance(t, Real)
+    counts = _fit_counts(samples.delays, samples.services, (t,) if single else t)[0]
+    shares = [count / (samples.n_delays * samples.n_services) for count in counts]
+    return shares[0] if single else shares

@@ -50,17 +50,22 @@ services that fit delay i,
     E[G(t - X)**2] = sum(d**2) / (n_y**2 n_x),
 
 so ties x + y = t count as fits exactly as they do when resampling.
+
+``leg_kernels`` takes one slack or a grid of slacks, so a sweep builds one
+table of R, S and D per distinct leg and then only the O(k) products for
+mu11 and theta at each point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from dataclasses import dataclass, replace
+from numbers import Real
+from typing import Iterable, Iterator, Literal, Sequence
 
 from .distributions import (
     Exponential,
+    _fit_counts,
     _hypoexponential_cdf,
-    _pair_fits,
     leg_reliability_exponential,
     leg_reliability_plugin,
     leg_reliability_quadrature,
@@ -73,7 +78,7 @@ from .errors import (
     OutOfRangeProbability,
     ValidationError,
 )
-from .plan import Leg, Scenario, plan_reliability, validate_scenario
+from .plan import CirculationPlan, Leg, Scenario, plan_reliability, validate_scenario
 
 KernelMode = Literal["closed_form", "quadrature", "plugin", "auto"]
 Mu11Method = Literal["factorized", "enumerate"]
@@ -112,6 +117,22 @@ class LegKernels:
         if in_omega2:
             return self.service_only.value
         return self.neither.value
+
+
+@dataclass(frozen=True)
+class _KernelTable:
+    """R, S and D of one leg over a grid of slacks, and how they were evaluated."""
+
+    method: str
+    both: Sequence[float]
+    service_only: Sequence[float]
+    delay_only: Sequence[float]
+
+    def at(self, j: int) -> LegKernels:
+        """The four kernels at the j-th slack; neither coincides is R**2."""
+        r = self.both[j]
+        values = (r, r * r, self.service_only[j], self.delay_only[j])
+        return LegKernels(*(KernelEvaluation(v, self.method) for v in values))
 
 
 @dataclass(frozen=True)
@@ -162,38 +183,41 @@ def _resolve_mode(leg: Leg, mode: KernelMode, index: int) -> str:
     return mode
 
 
-def leg_kernels(leg: Leg, t: float, mode: KernelMode, index: int = 0) -> LegKernels:
-    """Evaluate all four coincidence-case kernels for one leg at slack t.
+def leg_kernels(leg: Leg, t: float | Sequence[float], mode: KernelMode,
+                index: int = 0) -> LegKernels | _KernelTable:
+    """Evaluate the coincidence-case kernels of one leg at slack t.
 
-    The mode picks how R and the two one-sided kernels are evaluated; the
-    neither-coincides kernel is always R**2, reported with R's method.
+    t is one slack, giving its ``LegKernels``, or a sequence of slacks,
+    giving one table of R, S and D over all of them. The mode picks how R
+    and the two one-sided kernels are evaluated; the neither-coincides
+    kernel is always R**2, reported with R's method.
     """
     resolved = _resolve_mode(leg, mode, index)
+    single = isinstance(t, Real)
+    ts = (t,) if single else t
     if resolved == "closed_form":
         a, b = leg.rates.delay_rate, leg.rates.service_rate
-        both = KernelEvaluation(leg_reliability_exponential(leg.rates, t), resolved)
-        service_only = KernelEvaluation(_hypoexponential_cdf((a, 2.0 * a, b), t), resolved)
-        delay_only = KernelEvaluation(_hypoexponential_cdf((b, 2.0 * b, a), t), resolved)
+        both = [leg_reliability_exponential(leg.rates, u) for u in ts]
+        service_only = [_hypoexponential_cdf((a, 2.0 * a, b), u) for u in ts]
+        delay_only = [_hypoexponential_cdf((b, 2.0 * b, a), u) for u in ts]
     elif resolved == "quadrature" and leg.rates is not None:
         F = Exponential(leg.rates.delay_rate)
         G = Exponential(leg.rates.service_rate)
-        both = KernelEvaluation(leg_reliability_quadrature(F, G, t), resolved)
-        service_only = KernelEvaluation(_squared_cdf_expectation(F, G, t), resolved)
-        delay_only = KernelEvaluation(_squared_cdf_expectation(G, F, t), resolved)
+        both = [leg_reliability_quadrature(F, G, u) for u in ts]
+        service_only = [_squared_cdf_expectation(F, G, u) for u in ts]
+        delay_only = [_squared_cdf_expectation(G, F, u) for u in ts]
     else:
         # F(t - y_j) = c_j / n_x and G(t - x_i) = d_i / n_y under the
-        # empirical laws, with c and d the column and row sums of the pair
-        # matrix, so S and D are ratios of integers. R still comes from the
-        # public leg_reliability_plugin, where the benchmark's per-layer
-        # tracing times it, at the cost of a second pair matrix.
-        fits = _pair_fits(leg.samples, t)
-        c, d = fits.sum(axis=0), fits.sum(axis=1)
-        nx, ny = fits.shape
-        both = KernelEvaluation(leg_reliability_plugin(leg.samples, t), resolved)
-        service_only = KernelEvaluation(int(c @ c) / (nx * nx * ny), resolved)
-        delay_only = KernelEvaluation(int(d @ d) / (ny * ny * nx), resolved)
-    neither = KernelEvaluation(both.value * both.value, both.method)
-    return LegKernels(both, neither, service_only, delay_only)
+        # empirical laws, so S and D are ratios of integers. R still comes
+        # from the public leg_reliability_plugin, where the benchmark's
+        # per-layer tracing times it, at the cost of a third pass.
+        x, y = leg.samples.delays, leg.samples.services
+        nx, ny = len(x), len(y)
+        both = leg_reliability_plugin(leg.samples, ts)
+        service_only = [c2 / (nx * nx * ny) for c2 in _fit_counts(x, y, ts)[1]]
+        delay_only = [d2 / (ny * ny * nx) for d2 in _fit_counts(y, x, ts)[1]]
+    table = _KernelTable(resolved, both, service_only, delay_only)
+    return table.at(0) if single else table
 
 
 def _sizes_for(
@@ -223,25 +247,6 @@ def _sizes_for(
     return tuple(int(n) for n in sizes_x), tuple(int(n) for n in sizes_y)
 
 
-def _mu11_factorized(
-    kernels: Sequence[LegKernels], sizes_x: Sequence[int], sizes_y: Sequence[int]
-) -> float:
-    # Each leg's factor is R**2 plus the three coincidence corrections, so
-    # it is exactly 1 when R = S = D = 1 and exactly 0 when all three are 0;
-    # the four pattern weights need not sum to 1 in floating point.
-    product = 1.0
-    for kern, nx, ny in zip(kernels, sizes_x, sizes_y):
-        px, py = 1.0 / nx, 1.0 / ny
-        r2 = kern.neither.value
-        product *= (
-            r2
-            + px * (1.0 - py) * (kern.delay_only.value - r2)
-            + (1.0 - px) * py * (kern.service_only.value - r2)
-            + px * py * (kern.both.value - r2)
-        )
-    return product
-
-
 def _mu11_enumerated(
     kernels: Sequence[LegKernels], sizes_x: Sequence[int], sizes_y: Sequence[int]
 ) -> float:
@@ -268,6 +273,26 @@ def _mu11_enumerated(
     return total
 
 
+def _mu11(tables: Sequence[_KernelTable], j: int, sizes_x: Sequence[int],
+          sizes_y: Sequence[int], method: Mu11Method) -> float:
+    """mu11 at the j-th slack of every leg's kernel table, by the chosen method."""
+    if method == "enumerate":
+        return _mu11_enumerated([table.at(j) for table in tables], sizes_x, sizes_y)
+    if method != "factorized":
+        raise ValidationError(f"unknown mu11 method {method!r}")
+    # Each leg's factor is R**2 plus the three coincidence corrections, so
+    # it is exactly 1 when R = S = D = 1 and exactly 0 when all three are 0;
+    # the four pattern weights need not sum to 1 in floating point.
+    product = 1.0
+    for table, nx, ny in zip(tables, sizes_x, sizes_y):
+        px, py = 1.0 / nx, 1.0 / ny
+        r = table.both[j]
+        r2 = r * r
+        product *= (r2 + px * (1.0 - py) * (table.delay_only[j] - r2)
+                    + (1.0 - px) * py * (table.service_only[j] - r2) + px * py * (r - r2))
+    return product
+
+
 def _kernels_and_mu11(
     scenario: Scenario,
     sizes_x: Sequence[int] | None,
@@ -278,15 +303,11 @@ def _kernels_and_mu11(
     """Every leg's kernels, and mu11 from them by the chosen method."""
     sizes_x, sizes_y = _sizes_for(scenario, sizes_x, sizes_y)
     validate_scenario(scenario)
-    kernels = tuple(
-        leg_kernels(leg, t, mode, index=i)
+    tables = [
+        leg_kernels(leg, (t,), mode, index=i)
         for i, (leg, t) in enumerate(zip(scenario.legs, scenario.plan.intervals))
-    )
-    if method == "factorized":
-        return kernels, _mu11_factorized(kernels, sizes_x, sizes_y)
-    if method == "enumerate":
-        return kernels, _mu11_enumerated(kernels, sizes_x, sizes_y)
-    raise ValidationError(f"unknown mu11 method {method!r}")
+    ]
+    return tuple(table.at(0) for table in tables), _mu11(tables, 0, sizes_x, sizes_y, method)
 
 
 def mixed_moment_mu11(
@@ -364,3 +385,23 @@ def variance_pipeline(
         method=method,
         per_leg_h=kernels,
     )
+
+
+def _sweep(
+    scenario: Scenario, grid: Sequence[float], r: int, mode: KernelMode,
+    method: Mu11Method, sizes_x: Sequence[int] | None, sizes_y: Sequence[int] | None,
+) -> Iterator[tuple[float, VarianceReport]]:
+    """(t, report) for each t of an ascending grid, the report bit for bit
+    ``variance_pipeline``'s with every leg's slack at t. Equal legs share one
+    ``leg_kernels`` table over the whole grid, so a point costs only theta,
+    mu11 and the variance formula."""
+    sizes_x, sizes_y = _sizes_for(scenario, sizes_x, sizes_y)
+    # The grid ascends, so its first point is the one validation can reject.
+    validate_scenario(replace(scenario, plan=CirculationPlan((grid[0],) * scenario.plan.k)))
+    shared = {leg: leg_kernels(leg, grid, mode, index=scenario.legs.index(leg))
+              for leg in dict.fromkeys(scenario.legs)}
+    tables = [shared[leg] for leg in scenario.legs]
+    for j, t in enumerate(grid):
+        mu11 = _mu11(tables, j, sizes_x, sizes_y, method)
+        theta = plan_reliability([table.both[j] for table in tables])
+        yield t, estimator_variance(theta, mu11, r, kernel_mode=mode, method=method)
