@@ -68,6 +68,10 @@ EXIT_BAD_INPUT = 2
 EXIT_MISSING_DATA = 3
 EXIT_NUMERIC = 4
 
+# Most points a --t-grid may have: a sweep holds its grid and per-leg tables
+# in memory, so a larger one is rejected as bad input before it is built.
+MAX_GRID_POINTS = 1_000_000
+
 
 def _number(value, where: str) -> float:
     """A JSON value read as a float; booleans and non-numbers are parse errors."""
@@ -281,10 +285,18 @@ def _parse_grid(grid_spec: str) -> list[float]:
         raise ValidationError(f"--t-grid {grid_spec!r} must be finite")
     if step <= 0 or stop < start:
         raise ValidationError(f"--t-grid {grid_spec!r} needs step > 0 and stop >= start")
-    grid = [start]
-    while (t := start + len(grid) * step) <= stop + 1e-9 * step:
-        grid.append(t)
-    return grid
+    # Point i is start + i * step while it stays within the bound; that test
+    # is monotone in i, so the last index is the estimate moved to where the
+    # test flips, and the cap is checked before any list is built.
+    bound = stop + 1e-9 * step
+    last = int(min((bound - start) / step, MAX_GRID_POINTS))
+    while last < MAX_GRID_POINTS and start + (last + 1) * step <= bound:
+        last += 1
+    while last and start + last * step > bound:
+        last -= 1
+    if last >= MAX_GRID_POINTS:
+        raise ValidationError(f"--t-grid {grid_spec!r} has more than {MAX_GRID_POINTS} points")
+    return [start, *(start + i * step for i in range(1, last + 1))]
 
 
 def _cmd_sweep(args) -> int:

@@ -35,8 +35,6 @@ from dataclasses import dataclass
 from numbers import Real
 from typing import Sequence
 
-import numpy as np
-
 from .errors import NegativeTime, NonpositiveRate
 from .plan import ExponentialLegModel, LegSamples
 from .quadrature import adaptive_quadrature
@@ -64,6 +62,8 @@ class Exponential:
             raise NonpositiveRate(f"rate {self.rate!r}")
 
     def cdf(self, u):
+        import numpy as np
+
         u = np.asarray(u, dtype=float)
         out = -np.expm1(-self.rate * np.maximum(u, 0.0))
         return out if out.ndim else float(out)
@@ -146,6 +146,8 @@ def stieltjes_expectation(f, weight: Exponential, t: float) -> float:
 
     Adaptive quadrature of f times the exponential density of ``weight``.
     """
+    import numpy as np
+
     rate = weight.rate
 
     def integrand(x: np.ndarray) -> np.ndarray:
@@ -173,6 +175,8 @@ def _fit_counts(first, second, ts: Sequence[float]) -> tuple[list[int], list[int
     in u, so c_j over the whole grid is one searchsorted of the sums of the
     sorted ``first``; only O(len(ts)) accumulators are kept.
     """
+    import numpy as np
+
     for t in ts:
         _require_nonnegative_time(t)
     grid = np.asarray(ts, dtype=float)

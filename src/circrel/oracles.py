@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import EnumerationTooLarge, ValidationError
 from .plan import Leg, Scenario, validate_scenario
 from .resampler import ResamplingConfig, _success_counts, realization_stream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Cells = sample configurations x index configurations x realizations,
 # summed per leg; beyond this the arrays stop fitting in working memory.
@@ -64,6 +66,8 @@ def _value_assignments(values: np.ndarray, samples_random: bool) -> np.ndarray:
     the list, so duplicates weight naturally), enumerating all n**n slot
     assignments.
     """
+    import numpy as np
+
     n = values.size
     if not samples_random:
         return values[None, :]
@@ -73,6 +77,8 @@ def _value_assignments(values: np.ndarray, samples_random: bool) -> np.ndarray:
 
 def _index_combinations(n_x: int, n_y: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Decode all (n_x * n_y)**r joint index draws into (combo, realization) arrays."""
+    import numpy as np
+
     pairs = n_x * n_y
     combos = pairs**r
     codes = np.arange(combos)
@@ -90,6 +96,8 @@ def _leg_outcome_distribution(
     leg: Leg, t: float, r: int, samples_random: bool
 ) -> tuple[np.ndarray, int]:
     """Distribution of the leg's per-realization success bits over {0,1}**r."""
+    import numpy as np
+
     x = np.asarray(leg.samples.delays, dtype=float)
     y = np.asarray(leg.samples.services, dtype=float)
     cx = x.size**x.size if samples_random else 1
@@ -123,6 +131,8 @@ def enumerate_exact(
     the exact joint-law moment for that law. Legs enumerate independently
     and combine through the distribution of the per-realization AND.
     """
+    import numpy as np
+
     validate_scenario(scenario)
     for i, leg in enumerate(scenario.legs):
         if leg.samples is None:
@@ -173,6 +183,8 @@ def simulate_pipeline_variance(
     those samples and that seed; the resampling of a block of replications
     runs in one vectorized call, one Philox key per replication.
     """
+    import numpy as np
+
     validate_scenario(scenario)
     k = scenario.plan.k
     for i, leg in enumerate(scenario.legs):

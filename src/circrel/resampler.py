@@ -28,15 +28,17 @@ rejection (or whose sizes exceed 32 bits) is replayed through
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import MissingSamples, ValidationError
 from .plan import Scenario, validate_scenario
 
+if TYPE_CHECKING:
+    import numpy as np
+
 _SEED_BITS = 64
 _MASK64 = (1 << 64) - 1
-_LOW32 = np.uint64(0xFFFFFFFF)
+_LOW32 = 0xFFFFFFFF  # a uint64 array & this int stays uint64
 
 # Philox4x64 round multipliers and key increments (Salmon et al., SC'11).
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
@@ -73,11 +75,15 @@ class EstimateReport:
 
 def realization_stream(seed: int, index: int) -> np.random.Generator:
     """Independent substream for one realization (or replication) index."""
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(key=seed, counter=index << 128))
 
 
 def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """High and low words of the 128-bit product a * m, from 32-bit halves."""
+    import numpy as np
+
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
     a_lo, a_hi = a & _LOW32, a >> 32
     lo_lo, lo_hi, hi_lo = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
@@ -94,6 +100,8 @@ def _philox_words(keys: np.ndarray, realizations: np.ndarray, blocks: int) -> np
     realizations[j] * 2**128 + b + 1. Returns uint64 words, shape
     (rows, 4 * blocks), in the order the stream emits them.
     """
+    import numpy as np
+
     rows = keys.size
     c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (rows, blocks))
     c1 = np.zeros((rows, blocks), dtype=np.uint64)
@@ -122,6 +130,8 @@ def _draw_indices(
     stream's words, low half first, through Lemire's bounded draw with
     threshold (2**32 - n) % n. Rows that hit a rejection are replayed.
     """
+    import numpy as np
+
     sizes = [int(n) for n in sizes_x] + [int(n) for n in sizes_y]
     k_x = len(sizes_x)
     rows = keys.size
@@ -158,6 +168,8 @@ def _success_counts(
     ``delays[i]`` and ``services[i]`` hold leg i's samples with one row per
     seed: seed g resamples row g. Returns one success count per seed.
     """
+    import numpy as np
+
     sizes_x = [d.shape[1] for d in delays]
     sizes_y = [s.shape[1] for s in services]
     total = seeds.size * r
@@ -182,6 +194,8 @@ def resample_estimate(scenario: Scenario, config: ResamplingConfig) -> EstimateR
     vectorized chunks that reproduce those streams exactly, so the report
     depends on (scenario, config) alone.
     """
+    import numpy as np
+
     validate_scenario(scenario)
     for i, leg in enumerate(scenario.legs):
         if leg.samples is None:

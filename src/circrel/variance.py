@@ -58,6 +58,7 @@ mu11 and theta at each point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from numbers import Real
 from typing import Iterable, Iterator, Literal, Sequence
@@ -260,17 +261,21 @@ def _mu11_enumerated(
           for m in range(1 << k)]
     p2 = [omega_probability((i for i in range(k) if m >> i & 1), sizes_y)
           for m in range(1 << k)]
-    # Ascending (mask1, mask2) order keeps the summation bit-stable.
-    total = 0.0
-    for m1 in range(1 << k):
-        for m2 in range(1 << k):
-            term = p1[m1] * p2[m2]
-            if term == 0.0:
-                continue
-            for i, kern in enumerate(kernels):
-                term *= kern.value_for(bool(m1 >> i & 1), bool(m2 >> i & 1))
-            total += term
-    return total
+    # Both sums are correctly rounded. The pattern weights need not sum to 1
+    # in floating point, so the weighted sum is divided by their own sum:
+    # each term is at most its weight and rounding is monotone, so mu11
+    # cannot exceed 1, and it is exactly 1 when every kernel is.
+    def terms() -> Iterator[float]:
+        for m1 in range(1 << k):
+            for m2 in range(1 << k):
+                term = p1[m1] * p2[m2]
+                if term == 0.0:
+                    continue
+                for i, kern in enumerate(kernels):
+                    term *= kern.value_for(bool(m1 >> i & 1), bool(m2 >> i & 1))
+                yield term
+
+    return math.fsum(terms()) / math.fsum(a * b for a in p1 for b in p2)
 
 
 def _mu11(tables: Sequence[_KernelTable], j: int, sizes_x: Sequence[int],

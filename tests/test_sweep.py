@@ -2,7 +2,9 @@
 
 The grid path must give every row bit for bit what ``variance_pipeline``
 gives at that slack, evaluate each distinct leg once, keep only
-O(grid)-sized state for sample legs, and reject grids it cannot walk.
+O(grid)-sized state for sample legs, and reject grids it cannot walk or
+that exceed the point cap. The enumerated mu11 it shares with ``variance``
+must stay in [0, 1].
 """
 
 import contextlib
@@ -12,6 +14,7 @@ import os
 import tempfile
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 
 import circrel.variance
 from circrel import CircrelError, CirculationPlan, load_scenario, variance_pipeline
-from circrel.cli import _parse_grid, main
+from circrel.cli import MAX_GRID_POINTS, _parse_grid, main
 
 REPO = Path(__file__).resolve().parents[1]
 FIVE_LEG = str(REPO / "scenarios" / "five_leg_exponential.json")
@@ -166,3 +169,56 @@ def test_nonfinite_grid_exit_2(grid):
     code, out, err = _run(["sweep", FIVE_LEG, "--sample-size", "20", "--t-grid", grid])
     assert (code, out) == (2, "")
     assert err.startswith("circrel:") and "finite" in err
+
+
+def _stepping_loop(grid_spec):
+    """The grid as the CLI built it before the point cap: append start + i*step
+    while it stays within stop + 1e-9*step."""
+    start, stop, step = (float(p) for p in grid_spec.split(":"))
+    grid = [start]
+    while (t := start + len(grid) * step) <= stop + 1e-9 * step:
+        grid.append(t)
+    return grid
+
+
+@pytest.mark.parametrize("grid", [
+    "-0:1:1", "5:5:0.1", "0:0.3:0.1", "0:1:3", "1e9:1e9:1e-9", "0:1:1e300",
+    "-1e308:1e308:1e303", "20:320:0.05", "0.001:5000:0.5", f"0:{MAX_GRID_POINTS - 1}:1",
+    # perfbench grid_spec arguments: short decimal start and step, exact decimal stop.
+    "20:319.9500:0.0500", "0.37:61.264:0.306", "113.7:1402.41:1.29", "1.234:9.822:0.113",
+])
+def test_grid_points_match_the_stepping_loop(grid):
+    # repr tells -0.0 from 0.0.
+    assert list(map(repr, _parse_grid(grid))) == list(map(repr, _stepping_loop(grid)))
+
+
+@given(st.integers(-500, 5000), st.integers(1, 5000), st.integers(1, 4), st.integers(0, 2000))
+@settings(max_examples=300, deadline=None)
+def test_decimal_grids_match_the_stepping_loop(start, step, scale, last):
+    start, step = Decimal(start).scaleb(-2), Decimal(step).scaleb(-scale)
+    grid = f"{start}:{start + last * step}:{step}"
+    assert list(map(repr, _parse_grid(grid))) == list(map(repr, _stepping_loop(grid)))
+
+
+@pytest.mark.parametrize("grid", [
+    f"0:{MAX_GRID_POINTS}:1", "0:1e9:1", "0:1e308:1e-308", "1:2:1e-320",
+])
+def test_oversize_grid_exit_2(grid):
+    code, out, err = _run(["sweep", FIVE_LEG, "--sample-size", "20", "--t-grid", grid])
+    assert (code, out) == (2, "")
+    assert err.startswith("circrel:") and f"more than {MAX_GRID_POINTS} points" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["variance"], ["sweep", "--t-grid", "1:1:1"],
+], ids=["variance", "sweep"])
+def test_enumerated_mu11_of_all_fit_legs_is_one(argv, tmp_path):
+    # The plan's 16 pattern weights sum to 1 + 2**-52 in floating point.
+    leg = {"delay": {"samples": [0, 0, 0]}, "service": {"samples": [0, 0]}}
+    path = tmp_path / "fits.json"
+    path.write_text(json.dumps({"intervals": [1, 1], "legs": [leg, leg]}))
+    code, out, err = _run([argv[0], str(path), *argv[1:], "--mode", "plugin",
+                           "--method", "enumerate", "-r", "1"])
+    assert (code, err) == (0, "")
+    mu11 = json.loads(out)["mu11"] if argv == ["variance"] else float(out.split(",")[-2])
+    assert mu11 == 1.0
