@@ -181,7 +181,9 @@ def load_scenario(path: str, samples_csv_path: str | None = None) -> Scenario:
             rates = ExponentialLegModel(delay_rate=delay_val, service_rate=service_val)
         else:
             delays, services = list(delay_val), list(service_val)
-        if csv_delays is not None:
+        # The CSV has one bucket per interval; a leg beyond the plan gets none
+        # and is rejected below by validate_scenario's leg count check.
+        if csv_delays is not None and i < len(csv_delays):
             delays += csv_delays[i]
             services += csv_services[i]
         samples = None

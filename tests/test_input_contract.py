@@ -129,3 +129,16 @@ def test_damaged_input_ends_with_a_documented_exit(scenario_text, csv_text):
             if code:
                 assert out == ""
                 assert err.startswith("circrel:"), err
+
+
+def test_samples_csv_with_more_legs_than_intervals_is_bad_input():
+    doc = copy.deepcopy(SCENARIO)
+    del doc["intervals"][0]
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario_path = Path(tmp) / "scenario.json"
+        scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+        csv_path = Path(tmp) / "obs.csv"
+        csv_path.write_text("leg,kind,value\n1,delay,2.5\n1,service,2\n", encoding="utf-8")
+        code, out, err = _run(["variance", str(scenario_path), "--samples", str(csv_path)])
+    assert (code, out) == (2, "")
+    assert "plan has 1 legs but 2 leg models supplied" in err, err
