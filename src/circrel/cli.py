@@ -275,7 +275,7 @@ def _cmd_variance(args) -> int:
     return EXIT_OK
 
 
-def _parse_grid(grid_spec: str) -> list[float]:
+def _parse_grid(grid_spec: str) -> tuple[float, ...]:
     parts = grid_spec.split(":")
     if len(parts) != 3:
         raise ValidationError(f"--t-grid {grid_spec!r} must be start:stop:step")
@@ -298,7 +298,7 @@ def _parse_grid(grid_spec: str) -> list[float]:
         last -= 1
     if last >= MAX_GRID_POINTS:
         raise ValidationError(f"--t-grid {grid_spec!r} has more than {MAX_GRID_POINTS} points")
-    return [start, *(start + i * step for i in range(1, last + 1))]
+    return (start, *(start + i * step for i in range(1, last + 1)))
 
 
 def _cmd_sweep(args) -> int:

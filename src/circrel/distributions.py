@@ -22,7 +22,7 @@ Sample legs use one fit rule everywhere: a delay/service pair fits when the
 floating-point sum satisfies x + y <= t, the resampler's own test, so a tie
 x + y = t fits. ``_fit_counts`` is the only place it is written; every
 sample-leg kernel is a ratio of the integer counts it returns, for one slack
-or a whole grid of slacks in one pass.
+or a whole grid of slacks in one pass over the sorted services.
 
 Supports are nonnegative throughout: F(u) = G(u) = 0 for u < 0, so every
 integral truncates to [0, t].
@@ -167,26 +167,31 @@ def leg_reliability_quadrature(F: Exponential, G: Exponential, t: float) -> floa
     return min(1.0, max(0.0, value))
 
 
-def _fit_counts(first, second, ts: Sequence[float]) -> tuple[list[int], list[int]]:
-    """Per slack t of ts, sum(c) and sum(c**2), where c_j counts the values u
-    of ``first`` with fl(u + second[j]) <= t.
+def _fit_counts(delays, services, ts: Sequence[float]) -> tuple[list[int], list[int], list[int]]:
+    """Per slack t of ts, sum(c), sum(c**2) and sum(d**2), where c_j counts
+    the delays x with fl(x + services[j]) <= t and d_i the services y with
+    fl(delays[i] + y) <= t.
 
-    The only place the sample-leg fit rule is written. fl(u + v) is monotone
-    in u, so c_j over the whole grid is one searchsorted of the sums of the
-    sorted ``first``; only O(len(ts)) accumulators are kept.
+    The only place the sample-leg fit rule is written. fl(x + y) is monotone
+    in x, so c_j over the whole grid is one searchsorted of the sums of the
+    sorted delays. It is monotone in y too, so delay i fits exactly the d_i
+    smallest services, and sum(d**2) is the sum over m of (2m + 1) c_(m),
+    with c_(m) the count for the m-th smallest service. One pass over the
+    sorted services keeps only O(len(ts)) accumulators.
     """
     import numpy as np
 
     for t in ts:
         _require_nonnegative_time(t)
     grid = np.asarray(ts, dtype=float)
-    ordered = np.sort(np.asarray(first, dtype=float))
-    total, squares = np.zeros((2, len(grid)), dtype=np.int64)
-    for v in np.asarray(second, dtype=float).tolist():
+    ordered = np.sort(np.asarray(delays, dtype=float))
+    total, squares, crossed = np.zeros((3, len(grid)), dtype=np.int64)
+    for m, v in enumerate(np.sort(np.asarray(services, dtype=float)).tolist()):
         c = np.searchsorted(ordered + v, grid, side="right")
         total += c
         squares += c * c
-    return total.tolist(), squares.tolist()
+        crossed += (2 * m + 1) * c
+    return total.tolist(), squares.tolist(), crossed.tolist()
 
 
 def leg_reliability_plugin(samples: LegSamples, t: float | Sequence[float]) -> float | list[float]:

@@ -194,8 +194,7 @@ def simulate_pipeline_variance(
         raise ValidationError(f"expected {k} sizes per family")
     if min(*sizes_x, *sizes_y) < 1:
         raise ValidationError("sample sizes must be >= 1")
-    if r < 1:
-        raise ValidationError(f"realization count {r!r} must be >= 1")
+    ResamplingConfig(r=r, seed=seed)  # rejects r < 1 and seeds outside 64 bits
     if replications < 2:
         raise ValidationError("need at least 2 replications for a variance")
 

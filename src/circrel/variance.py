@@ -51,9 +51,9 @@ services that fit delay i,
 
 so ties x + y = t count as fits exactly as they do when resampling.
 
-``leg_kernels`` takes one slack or a grid of slacks, so a sweep builds one
-table of R, S and D per distinct leg and then only the O(k) products for
-mu11 and theta at each point.
+``leg_kernels`` takes one slack or a grid of slacks, so ``variance_pipeline``
+and a sweep both build one table of R, S and D per distinct leg and column
+of slacks, and then only the O(k) products for mu11 and theta at each point.
 """
 
 from __future__ import annotations
@@ -209,14 +209,14 @@ def leg_kernels(leg: Leg, t: float | Sequence[float], mode: KernelMode,
         delay_only = [_squared_cdf_expectation(G, F, u) for u in ts]
     else:
         # F(t - y_j) = c_j / n_x and G(t - x_i) = d_i / n_y under the
-        # empirical laws, so S and D are ratios of integers. R still comes
-        # from the public leg_reliability_plugin, where the benchmark's
-        # per-layer tracing times it, at the cost of a third pass.
-        x, y = leg.samples.delays, leg.samples.services
-        nx, ny = len(x), len(y)
+        # empirical laws, so S and D are ratios of integers from one counting
+        # pass. R still comes from the public leg_reliability_plugin, where
+        # the benchmark's per-layer tracing times it, at the cost of a second.
+        nx, ny = leg.samples.n_delays, leg.samples.n_services
         both = leg_reliability_plugin(leg.samples, ts)
-        service_only = [c2 / (nx * nx * ny) for c2 in _fit_counts(x, y, ts)[1]]
-        delay_only = [d2 / (ny * ny * nx) for d2 in _fit_counts(y, x, ts)[1]]
+        _, c2, d2 = _fit_counts(leg.samples.delays, leg.samples.services, ts)
+        service_only = [s / (nx * nx * ny) for s in c2]
+        delay_only = [s / (ny * ny * nx) for s in d2]
     table = _KernelTable(resolved, both, service_only, delay_only)
     return table.at(0) if single else table
 
@@ -298,21 +298,30 @@ def _mu11(tables: Sequence[_KernelTable], j: int, sizes_x: Sequence[int],
     return product
 
 
-def _kernels_and_mu11(
-    scenario: Scenario,
-    sizes_x: Sequence[int] | None,
-    sizes_y: Sequence[int] | None,
-    mode: KernelMode,
-    method: Mu11Method,
-) -> tuple[tuple[LegKernels, ...], float]:
-    """Every leg's kernels, and mu11 from them by the chosen method."""
+def _tables(
+    scenario: Scenario, columns: Sequence[tuple[float, ...]], mode: KernelMode,
+    sizes_x: Sequence[int] | None, sizes_y: Sequence[int] | None,
+) -> tuple[list[_KernelTable], tuple[int, ...], tuple[int, ...]]:
+    """Each leg's kernel table over its ascending column of slacks, and the
+    sizes mu11 weighs them by. The scenario is validated once, at each
+    column's first slack, the only one validation can reject; equal legs over
+    equal columns share one ``leg_kernels`` table."""
     sizes_x, sizes_y = _sizes_for(scenario, sizes_x, sizes_y)
-    validate_scenario(scenario)
-    tables = [
-        leg_kernels(leg, (t,), mode, index=i)
-        for i, (leg, t) in enumerate(zip(scenario.legs, scenario.plan.intervals))
-    ]
-    return tuple(table.at(0) for table in tables), _mu11(tables, 0, sizes_x, sizes_y, method)
+    validate_scenario(replace(scenario, plan=CirculationPlan(tuple(c[0] for c in columns))))
+    keys = list(zip(scenario.legs, columns))
+    shared = {key: leg_kernels(*key, mode, index=keys.index(key)) for key in dict.fromkeys(keys)}
+    return [shared[key] for key in keys], sizes_x, sizes_y
+
+
+def _report(
+    tables: Sequence[_KernelTable], j: int, sizes_x: Sequence[int], sizes_y: Sequence[int],
+    r: int, mode: KernelMode, method: Mu11Method, per_leg_h: tuple[LegKernels, ...] = (),
+) -> VarianceReport:
+    """mu11, theta and the variance formula at the j-th slack of every table."""
+    mu11 = _mu11(tables, j, sizes_x, sizes_y, method)
+    theta = plan_reliability([table.both[j] for table in tables])
+    return estimator_variance(theta, mu11, r, kernel_mode=mode, method=method,
+                              per_leg_h=per_leg_h)
 
 
 def mixed_moment_mu11(
@@ -329,7 +338,9 @@ def mixed_moment_mu11(
     ``enumerate`` performs the literal 4**k-term sum. The two agree to
     floating rounding and the latter is retained as an audit path.
     """
-    return _kernels_and_mu11(scenario, sizes_x, sizes_y, mode, method)[1]
+    columns = [(t,) for t in scenario.plan.intervals]
+    tables, sizes_x, sizes_y = _tables(scenario, columns, mode, sizes_x, sizes_y)
+    return _mu11(tables, 0, sizes_x, sizes_y, method)
 
 
 def estimator_variance(
@@ -380,33 +391,21 @@ def variance_pipeline(
     sizes_y: Sequence[int] | None = None,
 ) -> VarianceReport:
     """End-to-end variance: kernels, theta, mu11, then the variance formula."""
-    kernels, mu11 = _kernels_and_mu11(scenario, sizes_x, sizes_y, mode, method)
-    theta = plan_reliability([kern.both.value for kern in kernels])
-    return estimator_variance(
-        theta,
-        mu11,
-        r,
-        kernel_mode=mode,
-        method=method,
-        per_leg_h=kernels,
-    )
+    columns = [(t,) for t in scenario.plan.intervals]
+    tables, sizes_x, sizes_y = _tables(scenario, columns, mode, sizes_x, sizes_y)
+    return _report(tables, 0, sizes_x, sizes_y, r, mode, method,
+                   per_leg_h=tuple(table.at(0) for table in tables))
 
 
 def _sweep(
-    scenario: Scenario, grid: Sequence[float], r: int, mode: KernelMode,
+    scenario: Scenario, grid: tuple[float, ...], r: int, mode: KernelMode,
     method: Mu11Method, sizes_x: Sequence[int] | None, sizes_y: Sequence[int] | None,
 ) -> Iterator[tuple[float, VarianceReport]]:
     """(t, report) for each t of an ascending grid, the report bit for bit
-    ``variance_pipeline``'s with every leg's slack at t. Equal legs share one
-    ``leg_kernels`` table over the whole grid, so a point costs only theta,
-    mu11 and the variance formula."""
-    sizes_x, sizes_y = _sizes_for(scenario, sizes_x, sizes_y)
-    # The grid ascends, so its first point is the one validation can reject.
-    validate_scenario(replace(scenario, plan=CirculationPlan((grid[0],) * scenario.plan.k)))
-    shared = {leg: leg_kernels(leg, grid, mode, index=scenario.legs.index(leg))
-              for leg in dict.fromkeys(scenario.legs)}
-    tables = [shared[leg] for leg in scenario.legs]
+    ``variance_pipeline``'s with every leg's slack at t, less ``per_leg_h``.
+    Every leg's column is the whole grid, so a point costs only theta, mu11
+    and the variance formula."""
+    tables, sizes_x, sizes_y = _tables(
+        scenario, [grid] * scenario.plan.k, mode, sizes_x, sizes_y)
     for j, t in enumerate(grid):
-        mu11 = _mu11(tables, j, sizes_x, sizes_y, method)
-        theta = plan_reliability([table.both[j] for table in tables])
-        yield t, estimator_variance(theta, mu11, r, kernel_mode=mode, method=method)
+        yield t, _report(tables, j, sizes_x, sizes_y, r, mode, method)

@@ -290,6 +290,16 @@ class TestVerifyCommand:
         _, out2, _ = run_cli(["verify", "--suite", "exact", "--seed", "5"], capsys)
         assert out1 == out2
 
+    @pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-5")])
+    def test_negative_seed_exit_2(self, flag, env, capsys, monkeypatch):
+        # Exit 1 would read as a failed check.
+        if env is not None:
+            monkeypatch.setenv("CIRCREL_SEED", env)
+        argv = ["verify", "--suite", "montecarlo", "--replications", "10", *flag]
+        code, out, err = run_cli(argv, capsys)
+        seed = flag[-1] if flag else env
+        assert (code, out, err) == (2, "", f"circrel: seed {seed} must fit in 64 bits\n")
+
     def test_failed_check_exit_1(self, capsys, monkeypatch):
         from circrel.verify import CheckResult
 

@@ -16,6 +16,7 @@ from circrel import (
     leg_reliability_plugin,
     leg_reliability_quadrature,
 )
+from circrel import distributions
 from tests.conftest import mp_exponential_kernels
 
 rates = st.floats(0.005, 0.5)
@@ -115,6 +116,37 @@ class TestQuadratureKernel:
         plugin = leg_kernels(leg, 6.0, "plugin")
         for case in ("both", "neither", "service_only", "delay_only"):
             assert getattr(quad, case).value == getattr(plugin, case).value
+
+
+@st.composite
+def fit_count_cases(draw):
+    """Tenth-minute delays and services, with repeats, size-1 families and
+    services that tie a delay against a whole-minute slack, and one slack
+    or an ascending grid."""
+    tenths = st.integers(0, 40)
+    delays = draw(st.lists(tenths, min_size=1, max_size=6))
+    ties = st.sampled_from([10 * t - a for a in delays for t in (1, 2, 3, 4)
+                            if 10 * t >= a])
+    services = draw(st.lists(st.one_of(tenths, ties), min_size=1, max_size=6))
+    grid = draw(st.one_of(
+        st.integers(0, 8).map(lambda t: [t / 2]),
+        st.lists(st.integers(0, 80), min_size=1, max_size=12).map(
+            lambda ts: [t / 10 for t in sorted(ts)]),
+    ))
+    return [a / 10 for a in delays], [b / 10 for b in services], grid
+
+
+@given(fit_count_cases())
+@settings(max_examples=300, deadline=None)
+def test_fit_counts_match_the_pair_matrix(case):
+    # One pass over the sorted services must give what counting every
+    # delay/service pair against every slack gives, decimal ties included.
+    delays, services, grid = case
+    fits = (np.add.outer(delays, services)[..., None] <= np.asarray(grid)).astype(np.int64)
+    c, d = fits.sum(axis=0), fits.sum(axis=1)  # per service, per delay
+    expected = (c.sum(axis=0).tolist(), (c * c).sum(axis=0).tolist(),
+                (d * d).sum(axis=0).tolist())
+    assert distributions._fit_counts(delays, services, grid) == expected
 
 
 class TestPluginKernel:

@@ -1,10 +1,10 @@
 """``circrel sweep``: one kernel table per distinct leg over the whole grid.
 
 The grid path must give every row bit for bit what ``variance_pipeline``
-gives at that slack, evaluate each distinct leg once, keep only
-O(grid)-sized state for sample legs, and reject grids it cannot walk or
-that exceed the point cap. The enumerated mu11 it shares with ``variance``
-must stay in [0, 1].
+gives at that slack, evaluate each distinct leg once (as ``variance`` must
+at the plan's own slacks), keep only O(grid)-sized state for sample legs,
+and reject grids it cannot walk or that exceed the point cap. The
+enumerated mu11 it shares with ``variance`` must stay in [0, 1].
 """
 
 import contextlib
@@ -41,6 +41,19 @@ def _run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _count_leg_kernels(monkeypatch):
+    """The legs of every ``leg_kernels`` call from here on, in call order."""
+    seen = []
+    evaluate = circrel.variance.leg_kernels
+
+    def counting(*args, **kwargs):
+        seen.append(args[0])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr("circrel.variance.leg_kernels", counting)
+    return seen
 
 
 @st.composite
@@ -130,17 +143,31 @@ def test_each_distinct_leg_is_evaluated_once(legs, calls, monkeypatch, tmp_path)
     if legs is not None:
         path = tmp_path / "three.json"
         path.write_text(json.dumps({"intervals": [1] * len(legs), "legs": legs}))
-    seen = []
-    evaluate = circrel.variance.leg_kernels
-
-    def counting(*args, **kwargs):
-        seen.append(args[0])
-        return evaluate(*args, **kwargs)
-
-    monkeypatch.setattr("circrel.variance.leg_kernels", counting)
+    seen = _count_leg_kernels(monkeypatch)
     code, out, _ = _run(["sweep", str(path), "--t-grid", "20:320:0.05", "--sample-size", "20"])
     assert code == 0
     assert len(out.splitlines()) == 6002
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("legs, intervals, calls", [
+    pytest.param(None, [140] * 5, 1, id="five-identical-legs"),
+    pytest.param([_rate_leg(a, b) for a, b in THREE_RATE_LINES], [140] * 3, 3,
+                 id="three-distinct-legs"),
+    pytest.param([_rate_leg(0.05, 0.02)] * 2, [100, 140], 2,
+                 id="equal-legs-at-two-intervals"),
+])
+def test_variance_evaluates_each_distinct_leg_once(legs, intervals, calls, monkeypatch,
+                                                   tmp_path):
+    # A leg's table is shared only where its slack is the same too.
+    path = FIVE_LEG
+    if legs is not None:
+        path = tmp_path / "legs.json"
+        path.write_text(json.dumps({"intervals": intervals, "legs": legs}))
+    seen = _count_leg_kernels(monkeypatch)
+    code, out, _ = _run(["variance", str(path), "--sample-size", "20"])
+    assert code == 0
+    assert len(json.loads(out)["per_leg_h"]) == len(intervals)
     assert len(seen) == calls
 
 
