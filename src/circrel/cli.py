@@ -42,14 +42,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from .errors import (
-    CircrelError,
-    MissingSamples,
-    NumericError,
-    ParseError,
-    UnknownKind,
-    ValidationError,
-)
+from .errors import CircrelError, MissingSamples, NumericError, ParseError, ValidationError
 from .plan import (
     CirculationPlan,
     ExponentialLegModel,
@@ -135,7 +128,7 @@ def _read_samples_csv(path: str, k: int):
         elif kind == "service":
             services[leg_no - 1].append(value)
         else:
-            raise UnknownKind(f"{path}:{line_no}: kind {kind!r}")
+            raise ParseError(f"{path}:{line_no}: kind {kind!r}")
     return delays, services
 
 
@@ -305,10 +298,12 @@ def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario, args.samples)
     sizes_x, sizes_y = _sizes_from_args(args, scenario)
     grid = _parse_grid(args.t_grid)
-    sys.stdout.write("t,theta,mu11,variance\n")
-    rows = _sweep(scenario, grid, args.resamples, args.mode, args.method, sizes_x, sizes_y)
-    for t, report in rows:
-        sys.stdout.write(f"{t!r},{report.theta!r},{report.mu11!r},{report.variance!r}\n")
+    points = _sweep(scenario, grid, args.resamples, args.mode, args.method, sizes_x, sizes_y)
+    rows = (f"{t!r},{report.theta!r},{report.mu11!r},{report.variance!r}\n" for t, report in points)
+    # The first row has passed every check the variance command makes, so
+    # bad input ends the command before the header is written.
+    sys.stdout.write("t,theta,mu11,variance\n" + next(rows))
+    sys.stdout.writelines(rows)
     return EXIT_OK
 
 

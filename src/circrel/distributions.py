@@ -13,8 +13,9 @@ which this module evaluates three ways:
   divided-difference evaluator that also gives the variance module its
   one-sided kernels;
 * ``leg_reliability_quadrature`` -- adaptive quadrature of the integral for
-  a pair of exponential laws, the independent cross-check for the
-  evaluator;
+  the exponential laws of an ``ExponentialLegModel``, the same argument
+  ``leg_reliability_exponential`` takes: the independent cross-check for
+  the evaluator;
 * ``leg_reliability_plugin`` -- the empirical plug-in, an exact count over
   all sample pairs.
 
@@ -31,11 +32,10 @@ integral truncates to [0, t].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Real
 from typing import Sequence
 
-from .errors import NegativeTime, NonpositiveRate
+from .errors import ValidationError
 from .plan import ExponentialLegModel, LegSamples
 from .quadrature import adaptive_quadrature
 
@@ -51,27 +51,9 @@ _NEWTON_STEPS = {
 }
 
 
-@dataclass(frozen=True)
-class Exponential:
-    """Exponential law with the given rate (inverse time)."""
-
-    rate: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.rate) or self.rate <= 0:
-            raise NonpositiveRate(f"rate {self.rate!r}")
-
-    def cdf(self, u):
-        import numpy as np
-
-        u = np.asarray(u, dtype=float)
-        out = -np.expm1(-self.rate * np.maximum(u, 0.0))
-        return out if out.ndim else float(out)
-
-
 def _require_nonnegative_time(t: float) -> None:
     if t < 0 or not math.isfinite(t):
-        raise NegativeTime(f"slack time {t!r}")
+        raise ValidationError(f"slack time {t!r}")
 
 
 def _exp_divided_difference_taylor(x: list[float]) -> float:
@@ -141,14 +123,17 @@ def leg_reliability_exponential(leg: ExponentialLegModel, t: float) -> float:
     return _hypoexponential_cdf((leg.delay_rate, leg.service_rate), t)
 
 
-def stieltjes_expectation(f, weight: Exponential, t: float) -> float:
-    """integral over [0, t] of f(x) d(weight)(x) for a vectorized integrand f.
-
-    Adaptive quadrature of f times the exponential density of ``weight``.
-    """
+def _exponential_cdf(rate: float, u):
+    """CDF of Exp(rate) at each point of the array u; 0 below the origin."""
     import numpy as np
 
-    rate = weight.rate
+    return -np.expm1(-rate * np.maximum(u, 0.0))
+
+
+def stieltjes_expectation(f, rate: float, t: float) -> float:
+    """integral over [0, t] of f(x) dG(x) for G the law Exp(rate) and a
+    vectorized integrand f, by adaptive quadrature of f times its density."""
+    import numpy as np
 
     def integrand(x: np.ndarray) -> np.ndarray:
         return f(x) * rate * np.exp(-rate * x)
@@ -156,14 +141,18 @@ def stieltjes_expectation(f, weight: Exponential, t: float) -> float:
     return adaptive_quadrature(integrand, 0.0, t).value
 
 
-def leg_reliability_quadrature(F: Exponential, G: Exponential, t: float) -> float:
+def leg_reliability_quadrature(leg: ExponentialLegModel, t: float) -> float:
     """P(X + Y <= t) by direct evaluation of the convolution integral.
 
-    X ~ F, Y ~ G independent exponential laws. Agrees with
+    X ~ Exp(delay rate) and Y ~ Exp(service rate) independent. Agrees with
     ``leg_reliability_exponential`` to the quadrature tolerance.
     """
     _require_nonnegative_time(t)
-    value = stieltjes_expectation(lambda x: F.cdf(t - x), G, t)
+    a, b = leg.delay_rate, leg.service_rate
+    for rate in (a, b):
+        if not math.isfinite(rate) or rate <= 0:
+            raise ValidationError(f"rate {rate!r}")
+    value = stieltjes_expectation(lambda x: _exponential_cdf(a, t - x), b, t)
     return min(1.0, max(0.0, value))
 
 

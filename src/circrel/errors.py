@@ -1,9 +1,13 @@
 """Exception hierarchy.
 
-Validation errors report bad inputs (CLI exit code 2), MissingSamples reports
-absent data (exit 3), numeric errors report computation failures (exit 4).
-Errors tied to a particular leg carry its 0-based index in ``leg``; their
-messages number legs from 1, as scenario files and samples CSVs do.
+Every input fault raises ValidationError, or ParseError for a file that
+cannot be read as a scenario or samples CSV (CLI exit code 2); the message
+says which check failed. MissingSamples reports absent data (exit 3),
+NumericError a computation that failed (exit 4). QuadratureNonConvergence
+carries the quadrature's last estimate, and EnumerationTooLarge and
+NegativeVariance name outcomes a caller may want to tell apart. Errors tied
+to a particular leg carry its 0-based index in ``leg``; their messages
+number legs from 1, as scenario files and samples CSVs do.
 """
 
 from __future__ import annotations
@@ -21,42 +25,6 @@ class ValidationError(CircrelError, ValueError):
         self.leg = leg
 
 
-class EmptyPlan(ValidationError):
-    """Plan has no legs."""
-
-
-class NegativeSlack(ValidationError):
-    """A plan interval is negative or not finite."""
-
-
-class EmptySample(ValidationError):
-    """A sample population is empty."""
-
-
-class InvalidSampleValue(ValidationError):
-    """A sample value is negative or not finite."""
-
-
-class NonpositiveRate(ValidationError):
-    """An exponential rate is zero, negative, or not finite."""
-
-
-class LegCountMismatch(ValidationError):
-    """Number of leg models differs from the plan's leg count."""
-
-
-class OutOfRangeProbability(ValidationError):
-    """A probability argument lies outside [0, 1]."""
-
-
-class NegativeTime(ValidationError):
-    """A slack time argument is negative."""
-
-
-class IndexOutOfRange(ValidationError):
-    """A leg index lies outside {0, ..., k-1}."""
-
-
 class EnumerationTooLarge(ValidationError):
     """Requested exhaustive enumeration exceeds the instance-size guard."""
 
@@ -71,10 +39,6 @@ class MissingSamples(CircrelError):
 
 class ParseError(CircrelError):
     """A scenario or sample file could not be parsed; names the location."""
-
-
-class UnknownKind(ParseError):
-    """A sample CSV row carries a kind other than 'delay' or 'service'."""
 
 
 class NumericError(CircrelError):

@@ -23,15 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    EmptyPlan,
-    EmptySample,
-    InvalidSampleValue,
-    LegCountMismatch,
-    NegativeSlack,
-    NonpositiveRate,
-    OutOfRangeProbability,
-)
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -89,31 +81,31 @@ class Scenario:
 
 def _check_sample_values(values: Sequence[float], leg: int, kind: str) -> None:
     if len(values) == 0:
-        raise EmptySample(f"empty {kind} sample", leg=leg)
+        raise ValidationError(f"empty {kind} sample", leg=leg)
     for v in values:
         if not math.isfinite(v) or v < 0:
-            raise InvalidSampleValue(f"{kind} sample value {v!r}", leg=leg)
+            raise ValidationError(f"{kind} sample value {v!r}", leg=leg)
 
 
 def validate_scenario(raw: Scenario) -> Scenario:
     """Check every invariant; return the scenario unchanged if all hold.
 
-    Raises EmptyPlan, NegativeSlack, EmptySample, InvalidSampleValue,
-    NonpositiveRate, or LegCountMismatch, naming the offending leg.
+    Raises ValidationError at the first that fails, with the offending leg,
+    if any, in ``leg``.
     """
     plan = raw.plan
     if plan.k == 0:
-        raise EmptyPlan("plan has no legs")
+        raise ValidationError("plan has no legs")
     for i, t in enumerate(plan.intervals):
         if not math.isfinite(t) or t < 0:
-            raise NegativeSlack(f"interval {t!r}", leg=i)
+            raise ValidationError(f"interval {t!r}", leg=i)
     if len(raw.legs) != plan.k:
-        raise LegCountMismatch(
+        raise ValidationError(
             f"plan has {plan.k} legs but {len(raw.legs)} leg models supplied"
         )
     for i, leg in enumerate(raw.legs):
         if leg.samples is None and leg.rates is None:
-            raise LegCountMismatch("leg carries neither samples nor rates", leg=i)
+            raise ValidationError("leg carries neither samples nor rates", leg=i)
         if leg.samples is not None:
             _check_sample_values(leg.samples.delays, i, "delay")
             _check_sample_values(leg.samples.services, i, "service")
@@ -123,7 +115,7 @@ def validate_scenario(raw: Scenario) -> Scenario:
                 ("service", leg.rates.service_rate),
             ):
                 if not math.isfinite(rate) or rate <= 0:
-                    raise NonpositiveRate(f"{name} rate {rate!r}", leg=i)
+                    raise ValidationError(f"{name} rate {rate!r}", leg=i)
     return raw
 
 
@@ -132,6 +124,6 @@ def plan_reliability(per_leg: Sequence[float]) -> float:
     product = 1.0
     for i, p in enumerate(per_leg):
         if not 0.0 <= p <= 1.0:
-            raise OutOfRangeProbability(f"leg reliability {p!r}", leg=i)
+            raise ValidationError(f"leg reliability {p!r}", leg=i)
         product *= p
     return product

@@ -64,7 +64,7 @@ from numbers import Real
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .distributions import (
-    Exponential,
+    _exponential_cdf,
     _fit_counts,
     _hypoexponential_cdf,
     leg_reliability_exponential,
@@ -72,13 +72,7 @@ from .distributions import (
     leg_reliability_quadrature,
     stieltjes_expectation,
 )
-from .errors import (
-    EnumerationTooLarge,
-    IndexOutOfRange,
-    NegativeVariance,
-    OutOfRangeProbability,
-    ValidationError,
-)
+from .errors import EnumerationTooLarge, NegativeVariance, ValidationError
 from .plan import CirculationPlan, Leg, Scenario, plan_reliability, validate_scenario
 
 KernelMode = Literal["closed_form", "quadrature", "plugin", "auto"]
@@ -159,7 +153,7 @@ def omega_probability(omega: Iterable[int], sizes: Sequence[int]) -> float:
     k = len(sizes)
     for i in members:
         if not 0 <= i < k:
-            raise IndexOutOfRange(f"leg index {i} outside 0..{k - 1}")
+            raise ValidationError(f"leg index {i} outside 0..{k - 1}")
     p = 1.0
     for i, n in enumerate(sizes):
         if n < 1:
@@ -168,9 +162,9 @@ def omega_probability(omega: Iterable[int], sizes: Sequence[int]) -> float:
     return p
 
 
-def _squared_cdf_expectation(F: Exponential, G: Exponential, t: float) -> float:
-    """E[F(t - Y)**2] with Y ~ G, by quadrature."""
-    value = stieltjes_expectation(lambda x: F.cdf(t - x) ** 2, G, t)
+def _squared_cdf_expectation(a: float, b: float, t: float) -> float:
+    """E[F(t - Y)**2] with F the CDF of Exp(a) and Y ~ Exp(b), by quadrature."""
+    value = stieltjes_expectation(lambda x: _exponential_cdf(a, t - x) ** 2, b, t)
     return min(1.0, max(0.0, value))
 
 
@@ -202,11 +196,10 @@ def leg_kernels(leg: Leg, t: float | Sequence[float], mode: KernelMode,
         service_only = [_hypoexponential_cdf((a, 2.0 * a, b), u) for u in ts]
         delay_only = [_hypoexponential_cdf((b, 2.0 * b, a), u) for u in ts]
     elif resolved == "quadrature" and leg.rates is not None:
-        F = Exponential(leg.rates.delay_rate)
-        G = Exponential(leg.rates.service_rate)
-        both = [leg_reliability_quadrature(F, G, u) for u in ts]
-        service_only = [_squared_cdf_expectation(F, G, u) for u in ts]
-        delay_only = [_squared_cdf_expectation(G, F, u) for u in ts]
+        a, b = leg.rates.delay_rate, leg.rates.service_rate
+        both = [leg_reliability_quadrature(leg.rates, u) for u in ts]
+        service_only = [_squared_cdf_expectation(a, b, u) for u in ts]
+        delay_only = [_squared_cdf_expectation(b, a, u) for u in ts]
     else:
         # F(t - y_j) = c_j / n_x and G(t - x_i) = d_i / n_y under the
         # empirical laws, so S and D are ratios of integers from one counting
@@ -358,9 +351,9 @@ def estimator_variance(
     negative signals inconsistent inputs and raises NegativeVariance.
     """
     if not 0.0 <= theta <= 1.0:
-        raise OutOfRangeProbability(f"theta {theta!r}")
+        raise ValidationError(f"theta {theta!r}")
     if not 0.0 <= mu11 <= 1.0:
-        raise OutOfRangeProbability(f"mu11 {mu11!r}")
+        raise ValidationError(f"mu11 {mu11!r}")
     if r < 1:
         raise ValidationError(f"realization count {r!r} must be >= 1")
     variance = theta / r + (r - 1) / r * mu11 - theta * theta

@@ -174,13 +174,8 @@ def montecarlo_suite(seed: int, replications: int = 20000) -> list[CheckResult]:
     ]
 
 
-SUITES = {
-    "exact": lambda seed, replications: exact_suite(),
-    "kernels": lambda seed, replications: kernels_suite(),
-    "montecarlo": montecarlo_suite,
-}
-
-
 def run_suite(name: str, seed: int, replications: int = 20000) -> list[CheckResult]:
-    runner = SUITES[name]
-    return runner(seed, replications)
+    ResamplingConfig(r=1, seed=seed)  # every suite rejects a seed outside 64 bits
+    if name == "montecarlo":
+        return montecarlo_suite(seed, replications)
+    return {"exact": exact_suite, "kernels": kernels_suite}[name]()

@@ -1,17 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from circrel import (
-    InvalidSampleValue,
-    ParseError,
-    UnknownKind,
-    ValidationError,
-    load_scenario,
-)
+from circrel import ParseError, ValidationError, load_scenario
 from circrel.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -59,7 +54,7 @@ class TestLoadScenario:
     def test_csv_negative_value_names_leg(self, tmp_path):
         csv_path = tmp_path / "obs.csv"
         csv_path.write_text("leg,kind,value\n2,service,-1\n")
-        with pytest.raises((InvalidSampleValue, ValidationError)) as info:
+        with pytest.raises(ValidationError, match=r"^leg 2: service sample value -1\.0$") as info:
             load_scenario(TWO_LEG, str(csv_path))
         assert info.value.leg == 1
 
@@ -72,7 +67,7 @@ class TestLoadScenario:
     def test_csv_unknown_kind(self, tmp_path):
         csv_path = tmp_path / "obs.csv"
         csv_path.write_text("leg,kind,value\n1,turnaround,1.0\n")
-        with pytest.raises(UnknownKind):
+        with pytest.raises(ParseError, match=r"obs\.csv:2: kind 'turnaround'$"):
             load_scenario(TWO_LEG, str(csv_path))
 
     def test_csv_bad_header(self, tmp_path):
@@ -270,6 +265,16 @@ class TestSweepCommand:
             )
             assert code == 2, grid
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--sample-size", "20", "-r", "0"], "realization count 0 must be >= 1"),
+        ([], "leg 1: sample sizes required when a leg carries no samples"),
+    ])
+    def test_bad_first_point_writes_no_header(self, flags, message, capsys):
+        # The first point runs the variance command's checks before any output.
+        expected = (2, "", f"circrel: {message}\n")
+        assert run_cli(["variance", FIVE_LEG, *flags], capsys) == expected
+        assert run_cli(["sweep", FIVE_LEG, *flags, "--t-grid", "1:2:1"], capsys) == expected
+
 
 class TestVerifyCommand:
     def test_exact_suite_passes(self, capsys):
@@ -290,15 +295,17 @@ class TestVerifyCommand:
         _, out2, _ = run_cli(["verify", "--suite", "exact", "--seed", "5"], capsys)
         assert out1 == out2
 
-    @pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-5")])
+    @pytest.mark.parametrize("flag, env", [
+        (["--seed", "-1"], None), ([], "-5"), (["--seed", str(2**64)], None)])
     def test_negative_seed_exit_2(self, flag, env, capsys, monkeypatch):
-        # Exit 1 would read as a failed check.
+        # Exit 1 would read as a failed check; every suite checks the seed.
         if env is not None:
             monkeypatch.setenv("CIRCREL_SEED", env)
-        argv = ["verify", "--suite", "montecarlo", "--replications", "10", *flag]
-        code, out, err = run_cli(argv, capsys)
         seed = flag[-1] if flag else env
-        assert (code, out, err) == (2, "", f"circrel: seed {seed} must fit in 64 bits\n")
+        for suite in ("exact", "kernels", "montecarlo"):
+            argv = ["verify", "--suite", suite, "--replications", "10", *flag]
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out, err) == (2, "", f"circrel: seed {seed} must fit in 64 bits\n")
 
     def test_failed_check_exit_1(self, capsys, monkeypatch):
         from circrel.verify import CheckResult
@@ -386,12 +393,16 @@ def test_validation_messages_number_legs_from_1(tmp_path, capsys, scenario, mess
 
 
 def test_module_entry_point_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO / "src"), *filter(None, [env.get("PYTHONPATH")])])
     proc = subprocess.run(
         [sys.executable, "-m", "circrel", "estimate", TWO_LEG,
          "--resamples", "12", "--seed", "4"],
         capture_output=True,
         text=True,
         cwd=REPO,
+        env=env,
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from circrel import (
     ExponentialLegModel,
-    Exponential,
     Leg,
     LegSamples,
-    NegativeTime,
+    ValidationError,
     leg_kernels,
     leg_reliability_exponential,
     leg_reliability_plugin,
@@ -34,10 +33,10 @@ CASES = ("both", "service_only", "delay_only")
 
 class TestCdf:
     def test_exponential_origin_and_tail(self):
-        model = Exponential(0.05)
-        assert model.cdf(0.0) == 0.0
-        assert model.cdf(-3.0) == 0.0
-        assert model.cdf(1e9) == pytest.approx(1.0)
+        values = distributions._exponential_cdf(0.05, np.array([0.0, -3.0, 1e9]))
+        assert values[0] == 0.0
+        assert values[1] == 0.0
+        assert values[2] == pytest.approx(1.0)
 
 
 class TestExponentialClosedForm:
@@ -54,7 +53,7 @@ class TestExponentialClosedForm:
         assert value == pytest.approx(1.0 - 3.0 * math.exp(-2.0), abs=1e-12)
 
     def test_negative_time_rejected(self):
-        with pytest.raises(NegativeTime):
+        with pytest.raises(ValidationError, match=r"^slack time -1\.0$"):
             leg_reliability_exponential(ExponentialLegModel(0.1, 0.1), -1.0)
 
     def test_monotone_in_slack(self):
@@ -67,7 +66,7 @@ class TestExponentialClosedForm:
     def test_matches_quadrature_including_tube_lines(self, pair, t):
         a, b = pair
         closed = leg_reliability_exponential(ExponentialLegModel(a, b), t)
-        quad = leg_reliability_quadrature(Exponential(a), Exponential(b), t)
+        quad = leg_reliability_quadrature(ExponentialLegModel(a, b), t)
         assert abs(closed - quad) < 1e-8
         assert 0.0 <= closed <= 1.0
 
@@ -106,7 +105,15 @@ class TestExponentialClosedForm:
 
 class TestQuadratureKernel:
     def test_zero_slack(self):
-        assert leg_reliability_quadrature(Exponential(0.1), Exponential(0.2), 0.0) == 0.0
+        assert leg_reliability_quadrature(ExponentialLegModel(0.1, 0.2), 0.0) == 0.0
+
+    def test_rejects_bad_rates_and_time(self):
+        with pytest.raises(ValidationError, match=r"^rate 0\.0$"):
+            leg_reliability_quadrature(ExponentialLegModel(0.0, 0.2), 1.0)
+        with pytest.raises(ValidationError, match="^rate nan$"):
+            leg_reliability_quadrature(ExponentialLegModel(0.1, math.nan), 1.0)
+        with pytest.raises(ValidationError, match=r"^slack time -1\.0$"):
+            leg_reliability_quadrature(ExponentialLegModel(0.1, 0.2), -1.0)
 
     def test_empirical_pair_equals_plugin(self):
         # On a leg without rates, quadrature mode integrates one empirical law

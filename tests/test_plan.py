@@ -6,17 +6,11 @@ from hypothesis import strategies as st
 
 from circrel import (
     CirculationPlan,
-    EmptyPlan,
-    EmptySample,
     ExponentialLegModel,
-    InvalidSampleValue,
     Leg,
-    LegCountMismatch,
     LegSamples,
-    NegativeSlack,
-    NonpositiveRate,
-    OutOfRangeProbability,
     Scenario,
+    ValidationError,
     plan_reliability,
     validate_scenario,
 )
@@ -33,7 +27,7 @@ class TestValidateScenario:
             plan=CirculationPlan((5.0, -1.0, 5.0)),
             legs=tuple(Leg(rates=ExponentialLegModel(0.1, 0.1)) for _ in range(3)),
         )
-        with pytest.raises(NegativeSlack) as info:
+        with pytest.raises(ValidationError, match=r"^leg 2: interval -1\.0$") as info:
             validate_scenario(scenario)
         assert info.value.leg == 1
 
@@ -42,11 +36,11 @@ class TestValidateScenario:
             plan=CirculationPlan((5.0, 5.0, 5.0)),
             legs=tuple(Leg(rates=ExponentialLegModel(0.1, 0.1)) for _ in range(2)),
         )
-        with pytest.raises(LegCountMismatch):
+        with pytest.raises(ValidationError, match="^plan has 3 legs but 2 leg models supplied$"):
             validate_scenario(scenario)
 
     def test_empty_plan(self):
-        with pytest.raises(EmptyPlan):
+        with pytest.raises(ValidationError, match="^plan has no legs$"):
             validate_scenario(Scenario(plan=CirculationPlan(()), legs=()))
 
     def test_empty_sample_names_leg(self):
@@ -54,7 +48,7 @@ class TestValidateScenario:
             plan=CirculationPlan((5.0,)),
             legs=(Leg(samples=LegSamples((), (1.0,))),),
         )
-        with pytest.raises(EmptySample) as info:
+        with pytest.raises(ValidationError, match="^leg 1: empty delay sample$") as info:
             validate_scenario(scenario)
         assert info.value.leg == 0
 
@@ -63,7 +57,7 @@ class TestValidateScenario:
             plan=CirculationPlan((5.0,)),
             legs=(Leg(samples=LegSamples((1.0,), (-2.0,))),),
         )
-        with pytest.raises(InvalidSampleValue):
+        with pytest.raises(ValidationError, match=r"^leg 1: service sample value -2\.0$"):
             validate_scenario(scenario)
 
     def test_nonpositive_rate(self):
@@ -71,12 +65,12 @@ class TestValidateScenario:
             plan=CirculationPlan((5.0,)),
             legs=(Leg(rates=ExponentialLegModel(0.0, 0.1)),),
         )
-        with pytest.raises(NonpositiveRate):
+        with pytest.raises(ValidationError, match=r"^leg 1: delay rate 0\.0$"):
             validate_scenario(scenario)
 
     def test_bare_leg_rejected(self):
         scenario = Scenario(plan=CirculationPlan((5.0,)), legs=(Leg(),))
-        with pytest.raises(LegCountMismatch):
+        with pytest.raises(ValidationError, match="^leg 1: leg carries neither samples nor rates$"):
             validate_scenario(scenario)
 
 
@@ -97,9 +91,10 @@ class TestPlanReliability:
         assert abs(plan_reliability((0.8992578,) * 5) - 0.588058) < 5e-6
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(OutOfRangeProbability):
+        with pytest.raises(ValidationError, match=r"^leg 2: leg reliability 1\.2$") as info:
             plan_reliability((0.5, 1.2))
-        with pytest.raises(OutOfRangeProbability):
+        assert info.value.leg == 1
+        with pytest.raises(ValidationError, match=r"^leg 1: leg reliability -0\.1$"):
             plan_reliability((-0.1,))
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8), st.randoms())

@@ -2,8 +2,8 @@
 
 ``--help``, argument and parse errors, and closed-form ``variance`` and
 ``sweep`` never touch an array, so a fresh interpreter running them must end
-without numpy in ``sys.modules``. The package's public names load their
-modules on first use and must still be the modules' own objects.
+without numpy in ``sys.modules``. The package's public names must be the
+modules' own objects.
 """
 
 import json
@@ -60,7 +60,7 @@ def test_numpy_loaded_by_plugin_sweep():
     assert _probe(argv) == [0, True]
 
 
-def test_lazy_exports_are_the_home_modules_objects():
+def test_exports_are_the_home_modules_objects():
     for name in circrel.__all__:
         value = getattr(circrel, name)
         assert value.__module__.startswith("circrel."), name

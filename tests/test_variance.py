@@ -9,11 +9,9 @@ from circrel import (
     CirculationPlan,
     EnumerationTooLarge,
     ExponentialLegModel,
-    IndexOutOfRange,
     Leg,
     LegSamples,
     NegativeVariance,
-    OutOfRangeProbability,
     ResamplingConfig,
     Scenario,
     ValidationError,
@@ -65,7 +63,7 @@ class TestOmegaProbability:
         assert abs(freq - 0.002375) < 4 * se
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ValidationError, match=r"^leg index 3 outside 0\.\.2$"):
             omega_probability({3}, [5, 5, 5])
 
     def test_completeness(self):
@@ -247,9 +245,9 @@ class TestEstimatorVariance:
             estimator_variance(0.9, 0.1, r=1000)
 
     def test_input_validation(self):
-        with pytest.raises(OutOfRangeProbability):
+        with pytest.raises(ValidationError, match=r"^theta 1\.2$"):
             estimator_variance(1.2, 0.5, r=10)
-        with pytest.raises(OutOfRangeProbability):
+        with pytest.raises(ValidationError, match=r"^mu11 -0\.1$"):
             estimator_variance(0.5, -0.1, r=10)
         with pytest.raises(ValidationError):
             estimator_variance(0.5, 0.4, r=0)
