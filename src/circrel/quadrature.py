@@ -8,6 +8,8 @@ exact pair counts.
 The 7-point Gauss rule embedded in the 15-point Kronrod rule gives a value
 and an error estimate per panel; the panel with the largest error is bisected
 until the summed error meets the tolerance or the evaluation budget runs out.
+The tolerance is max(REL_TOL * |value|, ABS_TOL) and the budget MAX_EVALS
+integrand evaluations; every caller integrates to the same three constants.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ _WEIGHTS_G = (
     0.0, 0.279705391489277, 0.0, 0.129484966168870, 0.0,
 )
 
-DEFAULT_REL_TOL = 1e-9
-DEFAULT_ABS_TOL = 1e-16
-DEFAULT_MAX_EVALS = 1_000_000
+REL_TOL = 1e-9
+ABS_TOL = 1e-16
+MAX_EVALS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -79,18 +81,12 @@ def _panel(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 
 def adaptive_quadrature(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    *,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_tol: float = DEFAULT_ABS_TOL,
-    max_evals: int = DEFAULT_MAX_EVALS,
+    f: Callable[[np.ndarray], np.ndarray], a: float, b: float
 ) -> QuadratureResult:
     """Integrate a vectorized ``f`` over [a, b].
 
-    Raises QuadratureNonConvergence when the evaluation budget runs out
-    before the error estimate drops below max(rel_tol * |value|, abs_tol).
+    Raises QuadratureNonConvergence when MAX_EVALS evaluations run out
+    before the error estimate drops below max(REL_TOL * |value|, ABS_TOL).
     """
     if b <= a:
         return QuadratureResult(0.0, 0.0, 0)
@@ -100,8 +96,8 @@ def adaptive_quadrature(
     evaluations = len(_NODES)
     heap = [(-total_err, a, b, total)]  # (-err, left, right, value)
 
-    while total_err > max(rel_tol * abs(total), abs_tol):
-        if evaluations + 2 * len(_NODES) > max_evals:
+    while total_err > max(REL_TOL * abs(total), ABS_TOL):
+        if evaluations + 2 * len(_NODES) > MAX_EVALS:
             raise QuadratureNonConvergence(total, total_err, evaluations)
         neg_err, left, right, value = heappop(heap)
         mid = 0.5 * (left + right)

@@ -104,15 +104,6 @@ class LegKernels:
     service_only: KernelEvaluation
     delay_only: KernelEvaluation
 
-    def value_for(self, in_omega1: bool, in_omega2: bool) -> float:
-        if in_omega1 and in_omega2:
-            return self.both.value
-        if in_omega1:
-            return self.delay_only.value
-        if in_omega2:
-            return self.service_only.value
-        return self.neither.value
-
 
 @dataclass(frozen=True)
 class _KernelTable:
@@ -241,10 +232,9 @@ def _sizes_for(
     return tuple(int(n) for n in sizes_x), tuple(int(n) for n in sizes_y)
 
 
-def _mu11_enumerated(
-    kernels: Sequence[LegKernels], sizes_x: Sequence[int], sizes_y: Sequence[int]
-) -> float:
-    k = len(kernels)
+def _mu11_enumerated(tables: Sequence[_KernelTable], j: int, sizes_x: Sequence[int],
+                     sizes_y: Sequence[int]) -> float:
+    k = len(tables)
     if k > ENUMERATE_MAX_LEGS:
         raise EnumerationTooLarge(
             f"{4 ** k} coincidence patterns for k={k}; enumerate needs k <= "
@@ -254,6 +244,10 @@ def _mu11_enumerated(
           for m in range(1 << k)]
     p2 = [omega_probability((i for i in range(k) if m >> i & 1), sizes_y)
           for m in range(1 << k)]
+    # Each leg's kernel when its delay (bit 0) and service (bit 1) indices
+    # coincide or not: neither is R**2, delay only D, service only S, both R.
+    values = [(table.both[j] * table.both[j], table.delay_only[j], table.service_only[j],
+               table.both[j]) for table in tables]
     # Both sums are correctly rounded. The pattern weights need not sum to 1
     # in floating point, so the weighted sum is divided by their own sum:
     # each term is at most its weight and rounding is monotone, so mu11
@@ -264,8 +258,8 @@ def _mu11_enumerated(
                 term = p1[m1] * p2[m2]
                 if term == 0.0:
                     continue
-                for i, kern in enumerate(kernels):
-                    term *= kern.value_for(bool(m1 >> i & 1), bool(m2 >> i & 1))
+                for i, kern in enumerate(values):
+                    term *= kern[(m1 >> i & 1) | (m2 >> i & 1) << 1]
                 yield term
 
     return math.fsum(terms()) / math.fsum(a * b for a in p1 for b in p2)
@@ -275,7 +269,7 @@ def _mu11(tables: Sequence[_KernelTable], j: int, sizes_x: Sequence[int],
           sizes_y: Sequence[int], method: Mu11Method) -> float:
     """mu11 at the j-th slack of every leg's kernel table, by the chosen method."""
     if method == "enumerate":
-        return _mu11_enumerated([table.at(j) for table in tables], sizes_x, sizes_y)
+        return _mu11_enumerated(tables, j, sizes_x, sizes_y)
     if method != "factorized":
         raise ValidationError(f"unknown mu11 method {method!r}")
     # Each leg's factor is R**2 plus the three coincidence corrections, so
@@ -313,8 +307,7 @@ def _report(
     """mu11, theta and the variance formula at the j-th slack of every table."""
     mu11 = _mu11(tables, j, sizes_x, sizes_y, method)
     theta = plan_reliability([table.both[j] for table in tables])
-    return estimator_variance(theta, mu11, r, kernel_mode=mode, method=method,
-                              per_leg_h=per_leg_h)
+    return VarianceReport(theta, mu11, r, _variance(theta, mu11, r), mode, method, per_leg_h)
 
 
 def mixed_moment_mu11(
@@ -336,20 +329,8 @@ def mixed_moment_mu11(
     return _mu11(tables, 0, sizes_x, sizes_y, method)
 
 
-def estimator_variance(
-    theta: float,
-    mu11: float,
-    r: int,
-    *,
-    kernel_mode: str | None = None,
-    method: str | None = None,
-    per_leg_h: tuple[LegKernels, ...] = (),
-) -> VarianceReport:
-    """Variance of the r-realization resampling estimator.
-
-    Negative results within rounding tolerance clamp to zero; anything more
-    negative signals inconsistent inputs and raises NegativeVariance.
-    """
+def _variance(theta: float, mu11: float, r: int) -> float:
+    """The variance formula, checked and clamped as ``estimator_variance`` says."""
     if not 0.0 <= theta <= 1.0:
         raise ValidationError(f"theta {theta!r}")
     if not 0.0 <= mu11 <= 1.0:
@@ -363,15 +344,16 @@ def estimator_variance(
                 f"variance {variance!r} from theta={theta!r}, mu11={mu11!r}, r={r}"
             )
         variance = 0.0
-    return VarianceReport(
-        theta=theta,
-        mu11=mu11,
-        r=r,
-        variance=variance,
-        kernel_mode=kernel_mode,
-        method=method,
-        per_leg_h=per_leg_h,
-    )
+    return variance
+
+
+def estimator_variance(theta: float, mu11: float, r: int) -> VarianceReport:
+    """Variance of the r-realization resampling estimator.
+
+    Negative results within rounding tolerance clamp to zero; anything more
+    negative signals inconsistent inputs and raises NegativeVariance.
+    """
+    return VarianceReport(theta, mu11, r, _variance(theta, mu11, r))
 
 
 def variance_pipeline(

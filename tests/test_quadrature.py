@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from circrel.errors import QuadratureNonConvergence
+from circrel import quadrature
 from circrel.quadrature import adaptive_quadrature
 
 
@@ -29,11 +30,12 @@ def test_oscillatory_converges():
     assert abs(res.value - exact) < 1e-9
 
 
-def test_budget_exhaustion_reports_progress():
+def test_budget_exhaustion_reports_progress(monkeypatch):
     # A step cannot be resolved in 5 panels.
     step = lambda x: (x >= 1.0 / 3.0).astype(float)
+    monkeypatch.setattr(quadrature, "MAX_EVALS", 75)
     with pytest.raises(QuadratureNonConvergence) as info:
-        adaptive_quadrature(step, 0.0, 1.0, max_evals=75)
+        adaptive_quadrature(step, 0.0, 1.0)
     err = info.value
     assert err.evaluations <= 75
     assert err.achieved_error > 0.0

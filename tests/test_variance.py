@@ -93,9 +93,8 @@ class TestPairProbability:
 class TestKernels:
     def test_all_cases_vanish_at_zero_slack(self):
         kernels = leg_kernels(REFERENCE_LEG, 0.0, "closed_form")
-        for in1 in (False, True):
-            for in2 in (False, True):
-                assert kernels.value_for(in1, in2) == 0.0
+        for case in ("both", "neither", "service_only", "delay_only"):
+            assert getattr(kernels, case).value == 0.0
 
     def test_reference_point_closed_form(self):
         kernels = leg_kernels(REFERENCE_LEG, 140.0, "closed_form")
@@ -168,11 +167,15 @@ class TestKernels:
 
 class TestConditionalMixedMoment:
     # Conditioned on the coincidence pattern (omega1, omega2) the mixed moment
-    # is the product over legs of leg_kernels(...).value_for(...).
-    @staticmethod
-    def moment(scenario, omega1, omega2):
+    # is the product over legs of the kernel named by the leg's pattern:
+    # delay indices coincide on omega1, service indices on omega2.
+    CASES = {(True, True): "both", (True, False): "delay_only",
+             (False, True): "service_only", (False, False): "neither"}
+
+    @classmethod
+    def moment(cls, scenario, omega1, omega2):
         return math.prod(
-            leg_kernels(leg, t, "closed_form").value_for(i in omega1, i in omega2)
+            getattr(leg_kernels(leg, t, "closed_form"), cls.CASES[i in omega1, i in omega2]).value
             for i, (leg, t) in enumerate(zip(scenario.legs, scenario.plan.intervals))
         )
 
