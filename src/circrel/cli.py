@@ -102,7 +102,7 @@ def _read_samples_csv(path: str, k: int):
     delays = [[] for _ in range(k)]
     services = [[] for _ in range(k)]
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ParseError(f"{path}: {exc}") from None
@@ -135,9 +135,10 @@ def _read_samples_csv(path: str, k: int):
 def load_scenario(path: str, samples_csv_path: str | None = None) -> Scenario:
     """Parse, merge, and validate a scenario file plus optional samples CSV."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+    # JSONDecodeError or UnicodeDecodeError, or arrays nested too deep to decode.
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")

@@ -35,6 +35,10 @@ if TYPE_CHECKING:
 # summed per leg; beyond this the arrays stop fitting in working memory.
 ENUMERATION_CELL_BUDGET = 200_000_000
 
+# Most replications a Monte Carlo run may ask for (an 80 MB array of
+# estimates); a larger count is bad input, rejected before allocation.
+MAX_REPLICATIONS = 10_000_000
+
 # Replications whose resampling runs share one vectorized call.
 _REPLICATION_BLOCK = 128
 
@@ -197,6 +201,8 @@ def simulate_pipeline_variance(
     ResamplingConfig(r=r, seed=seed)  # rejects r < 1 and seeds outside 64 bits
     if replications < 2:
         raise ValidationError("need at least 2 replications for a variance")
+    if replications > MAX_REPLICATIONS:
+        raise ValidationError(f"{replications} replications exceed the cap of {MAX_REPLICATIONS}")
 
     slack = np.asarray(scenario.plan.intervals)
     estimates = np.empty(replications)

@@ -59,6 +59,8 @@ class ResamplingConfig:
     def __post_init__(self):
         if self.r < 1:
             raise ValidationError(f"realization count {self.r!r} must be >= 1")
+        if self.r >= 2**63:  # realization indices are int64
+            raise ValidationError(f"realization count {self.r!r} must be below 2**63")
         if not 0 <= self.seed < 2**_SEED_BITS:
             raise ValidationError(f"seed {self.seed!r} must fit in 64 bits")
 

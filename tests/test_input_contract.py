@@ -16,10 +16,13 @@ from functools import reduce
 from operator import getitem
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circrel.cli import main
+
+TWO_LEG = Path(__file__).resolve().parents[1] / "scenarios" / "two_leg_samples.json"
 
 SCENARIO = {
     "label": "fuzz base",
@@ -142,3 +145,36 @@ def test_samples_csv_with_more_legs_than_intervals_is_bad_input():
         code, out, err = _run(["variance", str(scenario_path), "--samples", str(csv_path)])
     assert (code, out) == (2, "")
     assert "plan has 1 legs but 2 leg models supplied" in err, err
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["verify", "--suite", "montecarlo", "--replications", "1000000000000"],
+                 "1000000000000 replications exceed the cap of 10000000", id="replications-cap"),
+    pytest.param(["estimate", str(TWO_LEG), "-r", "100000000000000000000"],
+                 "realization count 100000000000000000000 must be below 2**63", id="r-over-int64"),
+    pytest.param(["variance", "{tmp}/deep.json"], "maximum recursion depth", id="deep-json"),
+])
+def test_oversized_input_is_bad_input(tmp_path, argv, message):
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = _run([arg.format(tmp=tmp_path) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("circrel:") and message in err, err
+
+
+def test_byte_order_mark_reads_as_plain_utf8(tmp_path):
+    # Spreadsheets save "CSV UTF-8" with a leading byte-order mark.
+    scenario_text = json.dumps(SCENARIO)
+    csv_text = "".join(",".join(row) + "\n" for row in CSV_ROWS)
+    runs = []
+    for bom in ("", "\ufeff"):
+        scenario_path = tmp_path / f"scenario{len(bom)}.json"
+        scenario_path.write_text(bom + scenario_text, encoding="utf-8")
+        csv_path = tmp_path / f"obs{len(bom)}.csv"
+        csv_path.write_text(bom + csv_text, encoding="utf-8")
+        runs.append([
+            _run([command, str(scenario_path), "--samples", str(csv_path), *flags])
+            for command, flags in (("variance", ["--mode", "plugin"]), ("estimate", []))
+        ])
+    plain, marked = runs
+    assert all(code == 0 for code, _, _ in plain), plain
+    assert marked == plain

@@ -42,6 +42,10 @@ def _sample_leg(delays, services):
     return {"delay": {"samples": delays}, "service": {"samples": services}}
 
 
+TWO_LEG_RATES = {"intervals": [60, 90], "legs": [_rate_leg(0.05, 0.02), _rate_leg(0.1, 0.03)]}
+OBSERVATIONS = ("leg,kind,value\n1,delay,2.5\n1,delay,7.0\n1,service,20.0\n"
+                "2,delay,4.5\n2,service,12.1\n2,service,30.0\n")
+
 # Fixture files, by name in the scratch directory: dicts are written as JSON,
 # strings as UTF-8 text.
 INPUTS = {
@@ -59,16 +63,17 @@ INPUTS = {
     "mixed.json": {"intervals": [140, 25], "legs": [
         _rate_leg(0.05, 0.02), _sample_leg([3.1, 0.0, 11.4], [14.0, 9.5]),
     ]},
-    "two_leg_rates.json": {"intervals": [60, 90], "legs": [
-        _rate_leg(0.05, 0.02), _rate_leg(0.1, 0.03),
-    ]},
-    "observations.csv": "leg,kind,value\n1,delay,2.5\n1,delay,7.0\n1,service,20.0\n"
-                        "2,delay,4.5\n2,service,12.1\n2,service,30.0\n",
+    "two_leg_rates.json": TWO_LEG_RATES,
+    "observations.csv": OBSERVATIONS,
+    # Spreadsheets save "CSV UTF-8" with a leading byte-order mark.
+    "bom_two_leg_rates.json": "\ufeff" + json.dumps(TWO_LEG_RATES),
+    "bom_observations.csv": "\ufeff" + OBSERVATIONS,
     "thirteen_legs.json": {"intervals": [100] * 13, "legs": [_rate_leg(0.05, 0.02)] * 13},
     # The delay density is a spike at the origin that the quadrature's first
     # panel over [0, 1e6] does not see, so its variance comes out negative.
     "stiff_quadrature.json": {"intervals": [1e6], "legs": [_rate_leg(1.0, 0.001)]},
     "truncated.json": '{"intervals": [1',
+    "deep.json": "[" * 100_000 + "]" * 100_000,
     "bad_header.csv": "leg,value,kind\n1,2.5,delay\n",
 }
 

@@ -213,6 +213,31 @@ class TestMixedMoment:
             enumerated = mixed_moment_mu11(scenario, sizes_x, sizes_y, method="enumerate")
             assert abs(factorized - enumerated) < 1e-12
 
+    @pytest.mark.parametrize("legs, intervals, sizes, mode", [
+        pytest.param(  # a size-1 family gives patterns of weight zero
+            [LegSamples((2.0,), (1.0, 5.0)), LegSamples((0.5, 3.0, 4.0), (2.0,))],
+            (4.0, 6.0), None, "plugin", id="size-1-families"),
+        pytest.param(
+            [LegSamples((1.0, 2.5), (3.0, 4.0, 0.0)), LegSamples((0.5, 3.0), (2.0, 6.0))],
+            (10.0, 5.0), None, "plugin", id="all-fit-leg"),
+        pytest.param([LegSamples((0.1, 0.3), (0.4, 0.2))], (0.5,), None, "plugin",
+                     id="decimal-tie"),
+        pytest.param(
+            [ExponentialLegModel(0.05, 0.02), LegSamples((3.1, 0.0, 11.4), (14.0, 9.5)),
+             ExponentialLegModel(0.1, 0.1)],
+            (140.0, 25.0, 30.0), ([20, 3, 1], [20, 2, 4]), "auto", id="rates-and-samples"),
+    ])
+    def test_methods_agree_on_plugin_tables(self, legs, intervals, sizes, mode):
+        scenario = Scenario(
+            plan=CirculationPlan(intervals),
+            legs=tuple(Leg(samples=leg) if isinstance(leg, LegSamples) else Leg(rates=leg)
+                       for leg in legs),
+        )
+        sizes_x, sizes_y = sizes or (None, None)
+        factorized = mixed_moment_mu11(scenario, sizes_x, sizes_y, mode=mode)
+        enumerated = mixed_moment_mu11(scenario, sizes_x, sizes_y, mode=mode, method="enumerate")
+        assert abs(factorized - enumerated) <= 1e-12
+
     def test_enumeration_guard(self):
         scenario = reference_scenario(100.0, k=13)
         with pytest.raises(EnumerationTooLarge):
