@@ -81,12 +81,13 @@ INPUTS = {
 @contextlib.contextmanager
 def workspace():
     """A scratch directory with the inputs every record uses, as the cwd."""
-    cwd, seed = os.getcwd(), os.environ.pop("CIRCREL_SEED", None)
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         shutil.copytree(REPO / "scenarios", Path(tmp) / "scenarios")
         for name, content in INPUTS.items():
             text = content if isinstance(content, str) else json.dumps(content)
             (Path(tmp) / name).write_text(text, encoding="utf-8")
+        seed = os.environ.pop("CIRCREL_SEED", None)
         os.chdir(tmp)
         try:
             yield
