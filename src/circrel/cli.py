@@ -20,7 +20,8 @@ Scenario files are JSON documents::
       ]
     }
 
-A leg side is either ``{"exponential": {"rate": ...}}`` or
+``label``, ``time_unit`` and any other unknown key are accepted and
+ignored. A leg side is either ``{"exponential": {"rate": ...}}`` or
 ``{"samples": [...]}``; within one leg both sides must use the same form.
 An optional samples CSV (header ``leg,kind,value``, legs 1-based, kind
 ``delay`` or ``service``) attaches observations to legs, on top of
@@ -188,13 +189,7 @@ def load_scenario(path: str, samples_csv_path: str | None = None) -> Scenario:
             samples = LegSamples(tuple(delays), tuple(services))
         legs.append(Leg(samples=samples, rates=rates))
 
-    scenario = Scenario(
-        plan=CirculationPlan(intervals),
-        legs=tuple(legs),
-        label=str(doc.get("label", "")),
-        time_unit=str(doc.get("time_unit", "")),
-    )
-    return validate_scenario(scenario)
+    return validate_scenario(Scenario(plan=CirculationPlan(intervals), legs=tuple(legs)))
 
 
 def _resolve_seed(flag_value: int | None) -> int:
@@ -343,32 +338,24 @@ def build_parser() -> argparse.ArgumentParser:
     variance = sub.add_parser("variance", help="analytic variance of the estimator")
     variance.add_argument("scenario", help="scenario JSON file")
     variance.add_argument("--samples", help="samples CSV (leg,kind,value)")
-    variance.add_argument("--resamples", "-r", type=int, default=50)
-    variance.add_argument(
-        "--mode", choices=["closed_form", "plugin", "quadrature"], default="closed_form"
-    )
-    variance.add_argument(
-        "--method", choices=["factorized", "enumerate"], default="factorized"
-    )
-    variance.add_argument(
-        "--sample-size", type=int, default=None,
-        help="per-leg sample size when legs carry rates instead of samples",
-    )
     variance.set_defaults(func=_cmd_variance)
 
     sweep = sub.add_parser("sweep", help="variance across a slack grid, CSV output")
     sweep.add_argument("scenario", help="scenario JSON file (intervals overridden)")
     sweep.add_argument("--samples", help="samples CSV (leg,kind,value)")
     sweep.add_argument("--t-grid", required=True, help="start:stop:step (inclusive)")
-    sweep.add_argument("--resamples", "-r", type=int, default=50)
-    sweep.add_argument(
-        "--mode", choices=["closed_form", "plugin", "quadrature"], default="closed_form"
-    )
-    sweep.add_argument(
-        "--method", choices=["factorized", "enumerate"], default="factorized"
-    )
-    sweep.add_argument("--sample-size", type=int, default=None)
     sweep.set_defaults(func=_cmd_sweep)
+
+    for command in (variance, sweep):
+        command.add_argument("--resamples", "-r", type=int, default=50)
+        command.add_argument(
+            "--mode", choices=["closed_form", "plugin", "quadrature"], default="closed_form"
+        )
+        command.add_argument("--method", choices=["factorized", "enumerate"], default="factorized")
+        command.add_argument(
+            "--sample-size", type=int, default=None,
+            help="per-leg sample size when legs carry rates instead of samples",
+        )
 
     verify = sub.add_parser("verify", help="run a self-check suite")
     verify.add_argument("--suite", choices=["exact", "kernels", "montecarlo"], required=True)

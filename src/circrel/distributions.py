@@ -141,6 +141,13 @@ def stieltjes_expectation(f, rate: float, t: float) -> float:
     return adaptive_quadrature(integrand, 0.0, t).value
 
 
+def _quadrature_kernel(a: float, b: float, t: float, power: int) -> float:
+    """E[F(t - Y)**power] with F the CDF of Exp(a) and Y ~ Exp(b), by
+    quadrature, clamped to [0, 1]: R at power 1, a one-sided kernel at 2."""
+    value = stieltjes_expectation(lambda x: _exponential_cdf(a, t - x) ** power, b, t)
+    return min(1.0, max(0.0, value))
+
+
 def leg_reliability_quadrature(leg: ExponentialLegModel, t: float) -> float:
     """P(X + Y <= t) by direct evaluation of the convolution integral.
 
@@ -152,8 +159,7 @@ def leg_reliability_quadrature(leg: ExponentialLegModel, t: float) -> float:
     for rate in (a, b):
         if not math.isfinite(rate) or rate <= 0:
             raise ValidationError(f"rate {rate!r}")
-    value = stieltjes_expectation(lambda x: _exponential_cdf(a, t - x), b, t)
-    return min(1.0, max(0.0, value))
+    return _quadrature_kernel(a, b, t, 1)
 
 
 def _fit_counts(delays, services, ts: Sequence[float]) -> tuple[list[int], list[int], list[int]]:

@@ -75,25 +75,16 @@ def _value_assignments(values: np.ndarray, samples_random: bool) -> np.ndarray:
     n = values.size
     if not samples_random:
         return values[None, :]
-    grids = np.meshgrid(*([values] * n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return values[np.indices((n,) * n).reshape(n, -1).T]
 
 
 def _index_combinations(n_x: int, n_y: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Decode all (n_x * n_y)**r joint index draws into (combo, realization) arrays."""
+    """All (n_x * n_y)**r joint index draws as (realization, combo) arrays of
+    delay and service indices."""
     import numpy as np
 
-    pairs = n_x * n_y
-    combos = pairs**r
-    codes = np.arange(combos)
-    jx = np.empty((combos, r), dtype=np.int64)
-    jy = np.empty((combos, r), dtype=np.int64)
-    for l in range(r):
-        digit = codes % pairs
-        jx[:, l] = digit // n_y
-        jy[:, l] = digit % n_y
-        codes //= pairs
-    return jx, jy
+    draws = np.indices((n_x, n_y) * r).reshape(2 * r, -1)
+    return draws[0::2], draws[1::2]
 
 
 def _leg_outcome_distribution(
@@ -114,10 +105,10 @@ def _leg_outcome_distribution(
     vx = _value_assignments(x, samples_random)
     vy = _value_assignments(y, samples_random)
     jx, jy = _index_combinations(x.size, y.size, r)
-    codes = np.zeros((vx.shape[0], vy.shape[0], jx.shape[0]), dtype=np.int64)
+    codes = np.zeros((vx.shape[0], vy.shape[0], jx.shape[1]), dtype=np.int64)
     for l in range(r):
-        extracted_x = vx[:, jx[:, l]]  # (CX, CI)
-        extracted_y = vy[:, jy[:, l]]  # (CY, CI)
+        extracted_x = vx[:, jx[l]]  # (CX, CI)
+        extracted_y = vy[:, jy[l]]  # (CY, CI)
         success = extracted_x[:, None, :] + extracted_y[None, :, :] <= t
         codes |= success.astype(np.int64) << l
     counts = np.bincount(codes.ravel(), minlength=1 << r)

@@ -75,8 +75,6 @@ class Scenario:
 
     plan: CirculationPlan
     legs: tuple[Leg, ...]
-    label: str = ""
-    time_unit: str = ""
 
 
 def _check_sample_values(values: Sequence[float], leg: int, kind: str) -> None:

@@ -64,13 +64,12 @@ from numbers import Real
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .distributions import (
-    _exponential_cdf,
     _fit_counts,
     _hypoexponential_cdf,
+    _quadrature_kernel,
     leg_reliability_exponential,
     leg_reliability_plugin,
     leg_reliability_quadrature,
-    stieltjes_expectation,
 )
 from .errors import EnumerationTooLarge, NegativeVariance, ValidationError
 from .plan import CirculationPlan, Leg, Scenario, plan_reliability, validate_scenario
@@ -153,12 +152,6 @@ def omega_probability(omega: Iterable[int], sizes: Sequence[int]) -> float:
     return p
 
 
-def _squared_cdf_expectation(a: float, b: float, t: float) -> float:
-    """E[F(t - Y)**2] with F the CDF of Exp(a) and Y ~ Exp(b), by quadrature."""
-    value = stieltjes_expectation(lambda x: _exponential_cdf(a, t - x) ** 2, b, t)
-    return min(1.0, max(0.0, value))
-
-
 def _resolve_mode(leg: Leg, mode: KernelMode, index: int) -> str:
     if mode == "auto":
         return "closed_form" if leg.rates is not None else "plugin"
@@ -189,8 +182,8 @@ def leg_kernels(leg: Leg, t: float | Sequence[float], mode: KernelMode,
     elif resolved == "quadrature" and leg.rates is not None:
         a, b = leg.rates.delay_rate, leg.rates.service_rate
         both = [leg_reliability_quadrature(leg.rates, u) for u in ts]
-        service_only = [_squared_cdf_expectation(a, b, u) for u in ts]
-        delay_only = [_squared_cdf_expectation(b, a, u) for u in ts]
+        service_only = [_quadrature_kernel(a, b, u, 2) for u in ts]
+        delay_only = [_quadrature_kernel(b, a, u, 2) for u in ts]
     else:
         # F(t - y_j) = c_j / n_x and G(t - x_i) = d_i / n_y under the
         # empirical laws, so S and D are ratios of integers from one counting
@@ -324,9 +317,8 @@ def mixed_moment_mu11(
     ``enumerate`` performs the literal 4**k-term sum. The two agree to
     floating rounding and the latter is retained as an audit path.
     """
-    columns = [(t,) for t in scenario.plan.intervals]
-    tables, sizes_x, sizes_y = _tables(scenario, columns, mode, sizes_x, sizes_y)
-    return _mu11(tables, 0, sizes_x, sizes_y, method)
+    return variance_pipeline(scenario, 1, mode=mode, method=method,
+                             sizes_x=sizes_x, sizes_y=sizes_y).mu11
 
 
 def _variance(theta: float, mu11: float, r: int) -> float:

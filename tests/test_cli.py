@@ -25,7 +25,6 @@ class TestLoadScenario:
         scenario = load_scenario(FIVE_LEG)
         assert scenario.plan.k == 5
         assert all(leg.rates is not None for leg in scenario.legs)
-        assert scenario.time_unit == "minutes"
 
     def test_sample_file(self):
         scenario = load_scenario(TWO_LEG)
