@@ -15,7 +15,8 @@ which this module evaluates three ways:
 * ``leg_reliability_quadrature`` -- adaptive quadrature of the integral for
   the exponential laws of an ``ExponentialLegModel``, the same argument
   ``leg_reliability_exponential`` takes: the independent cross-check for
-  the evaluator;
+  the evaluator. Its ``_quadrature_kernel`` integrates the one-sided
+  kernels of quadrature mode as well;
 * ``leg_reliability_plugin`` -- the empirical plug-in, an exact count over
   all sample pairs.
 
@@ -43,6 +44,10 @@ from .quadrature import adaptive_quadrature
 # less than 1e-26 relative, while an uncapped one can overflow the node
 # products and differences (inf - inf is nan).
 _FASTEST_STAGE = 1e30
+
+# A quadrature kernel's panels end where rate * x reaches this value: there
+# e**-_SPAN (about 4e-44) is all that an exponential law has left to change.
+_SPAN = 100.0
 
 # Entries (i, j) of a Newton table over m + 1 nodes, one order at a time.
 _NEWTON_STEPS = {
@@ -130,21 +135,31 @@ def _exponential_cdf(rate: float, u):
     return -np.expm1(-rate * np.maximum(u, 0.0))
 
 
-def stieltjes_expectation(f, rate: float, t: float) -> float:
-    """integral over [0, t] of f(x) dG(x) for G the law Exp(rate) and a
+def stieltjes_expectation(f, rate: float, lo: float, hi: float) -> float:
+    """integral over [lo, hi] of f(x) dG(x) for G the law Exp(rate) and a
     vectorized integrand f, by adaptive quadrature of f times its density."""
     import numpy as np
 
     def integrand(x: np.ndarray) -> np.ndarray:
         return f(x) * rate * np.exp(-rate * x)
 
-    return adaptive_quadrature(integrand, 0.0, t).value
+    return adaptive_quadrature(integrand, lo, hi).value
 
 
 def _quadrature_kernel(a: float, b: float, t: float, power: int) -> float:
     """E[F(t - Y)**power] with F the CDF of Exp(a) and Y ~ Exp(b), by
-    quadrature, clamped to [0, 1]: R at power 1, a one-sided kernel at 2."""
-    value = stieltjes_expectation(lambda x: _exponential_cdf(a, t - x) ** power, b, t)
+    quadrature, clamped to [0, 1]: R at power 1, a one-sided kernel at 2.
+
+    Beyond _SPAN / b the weight keeps mass e**-_SPAN, far below the
+    quadrature's absolute tolerance, so the integral stops there. Left of
+    t - _SPAN / a the factor F(t - x) is 1 to the last bit, and right of it
+    it falls to 0, so a panel edge goes there: a fast rate on either side
+    would otherwise hide the integrand's mass between the first nodes.
+    """
+    hi = min(t, _SPAN / b)
+    edges = [0.0, t - _SPAN / a, hi] if 0.0 < t - _SPAN / a < hi else [0.0, hi]
+    value = sum(stieltjes_expectation(lambda x: _exponential_cdf(a, t - x) ** power, b, lo, up)
+                for lo, up in zip(edges, edges[1:]))
     return min(1.0, max(0.0, value))
 
 

@@ -187,8 +187,9 @@ def simulate_pipeline_variance(
             raise ValidationError("simulation needs exponential rates", leg=i)
     if len(sizes_x) != k or len(sizes_y) != k:
         raise ValidationError(f"expected {k} sizes per family")
-    if min(*sizes_x, *sizes_y) < 1:
-        raise ValidationError("sample sizes must be >= 1")
+    if any(n < 1 or n % 1 for n in (*sizes_x, *sizes_y)):
+        raise ValidationError("sample sizes must be integers >= 1")
+    sizes_x, sizes_y = [int(n) for n in sizes_x], [int(n) for n in sizes_y]
     ResamplingConfig(r=r, seed=seed)  # rejects r < 1 and seeds outside 64 bits
     if replications < 2:
         raise ValidationError("need at least 2 replications for a variance")

@@ -153,6 +153,8 @@ def omega_probability(omega: Iterable[int], sizes: Sequence[int]) -> float:
 
 
 def _resolve_mode(leg: Leg, mode: KernelMode, index: int) -> str:
+    if mode not in ("closed_form", "quadrature", "plugin", "auto"):
+        raise ValidationError(f"unknown kernel mode {mode!r}")
     if mode == "auto":
         return "closed_form" if leg.rates is not None else "plugin"
     if mode == "closed_form" and leg.rates is None:
@@ -222,6 +224,8 @@ def _sizes_for(
     for i, (nx, ny) in enumerate(zip(sizes_x, sizes_y)):
         if nx < 1 or ny < 1:
             raise ValidationError(f"sample sizes ({nx}, {ny}) must be >= 1", leg=i)
+        if nx % 1 or ny % 1:
+            raise ValidationError(f"sample sizes ({nx}, {ny}) must be integers", leg=i)
     return tuple(int(n) for n in sizes_x), tuple(int(n) for n in sizes_y)
 
 

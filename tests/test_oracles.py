@@ -156,6 +156,18 @@ class TestSimulatePipelineVariance:
                 two_point_scenario(), [2], [2], r=3, replications=100, seed=0
             )
 
+    def test_rejects_non_integral_sizes(self):
+        with pytest.raises(ValidationError, match="must be integers"):
+            simulate_pipeline_variance(
+                reference_scenario(140.0, k=1), [2.5], [2.5], r=3, replications=100, seed=0
+            )
+        whole = simulate_pipeline_variance(
+            reference_scenario(140.0, k=1), [2.0], [2.0], r=3, replications=100, seed=0
+        )
+        assert whole == simulate_pipeline_variance(
+            reference_scenario(140.0, k=1), [2], [2], r=3, replications=100, seed=0
+        )
+
     def test_needs_two_replications(self):
         with pytest.raises(ValidationError):
             simulate_pipeline_variance(

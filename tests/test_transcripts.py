@@ -22,6 +22,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -69,8 +70,8 @@ INPUTS = {
     "bom_two_leg_rates.json": "\ufeff" + json.dumps(TWO_LEG_RATES),
     "bom_observations.csv": "\ufeff" + OBSERVATIONS,
     "thirteen_legs.json": {"intervals": [100] * 13, "legs": [_rate_leg(0.05, 0.02)] * 13},
-    # The delay density is a spike at the origin that the quadrature's first
-    # panel over [0, 1e6] does not see, so its variance comes out negative.
+    # Rate times slack of 1e6 and 1e3: the service law's mass lies in the
+    # first tenth of [0, 1e6], where quadrature must place its panels itself.
     "stiff_quadrature.json": {"intervals": [1e6], "legs": [_rate_leg(1.0, 0.001)]},
     "truncated.json": '{"intervals": [1',
     "deep.json": "[" * 100_000 + "]" * 100_000,
@@ -119,6 +120,14 @@ def scratch():
 def test_transcript(name, scratch):
     record = json.loads((RECORDS / f"{name}.json").read_text(encoding="utf-8"))
     assert replay(record["argv"]) == record
+
+
+def test_record_names_match_exit_codes():
+    # exit<N>_... records exit N; every other record succeeds.
+    for path in RECORDS.glob("*.json"):
+        named = re.fullmatch(r"exit(\d+)_.+", path.stem)
+        expected = int(named[1]) if named else 0
+        assert json.loads(path.read_text(encoding="utf-8"))["exit"] == expected, path.stem
 
 
 def rewrite() -> None:

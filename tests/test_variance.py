@@ -30,6 +30,7 @@ from tests.conftest import (
     random_scenario,
     random_sizes,
     reference_scenario,
+    two_point_scenario,
 )
 
 # Kernel values at rates (0.05, 0.02), t = 140, frozen from the quadrature
@@ -154,6 +155,26 @@ class TestKernels:
             leg_kernels(REFERENCE_LEG, 10.0, "plugin")
         with pytest.raises(ValidationError):
             leg_kernels(Leg(samples=LegSamples((1.0,), (1.0,))), 10.0, "closed_form")
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValidationError, match="unknown kernel mode 'plug-in'"):
+            leg_kernels(REFERENCE_LEG, 10.0, "plug-in")
+        with pytest.raises(ValidationError, match="unknown kernel mode 'closed-form'"):
+            variance_pipeline(two_point_scenario(), 10, mode="closed-form")
+
+    @pytest.mark.parametrize("a", (1e-3, 0.02, 1.0, 50.0, 1e6, 1e12))
+    @pytest.mark.parametrize("b", (1e-3, 0.02, 1.0, 50.0, 1e6, 1e12))
+    def test_quadrature_matches_closed_form_at_any_rate_times_slack(self, a, b):
+        # Rate times slack from 1e-5 to 1e18: a fast rate on either side puts
+        # the integrand's mass in a sliver of [0, t] that panels over the
+        # whole interval miss. The bound is the kernels suite's.
+        leg = Leg(rates=ExponentialLegModel(a, b))
+        grid = (0.01, 1.0, 140.0, 1e4, 1e6)
+        closed = leg_kernels(leg, grid, "closed_form")
+        quad = leg_kernels(leg, grid, "quadrature")
+        for case in ("both", "service_only", "delay_only"):
+            for got, want in zip(getattr(quad, case), getattr(closed, case)):
+                assert abs(got - want) <= 1e-8
 
     @given(st.floats(0.005, 0.5), st.floats(0.005, 0.5), st.floats(0.0, 400.0))
     @settings(max_examples=120)
@@ -359,6 +380,14 @@ class TestVariancePipeline:
     def test_sizes_required_for_exponential_legs(self):
         with pytest.raises(ValidationError):
             variance_pipeline(reference_scenario(140.0), r=50, mode="closed_form")
+
+    def test_non_integral_sizes_rejected(self):
+        with pytest.raises(ValidationError, match="must be integers"):
+            variance_pipeline(reference_scenario(140.0), 50, sizes_x=[2.5] * 5, sizes_y=[2.5] * 5)
+        whole = variance_pipeline(reference_scenario(140.0), 50, sizes_x=[2.0] * 5,
+                                  sizes_y=[2.0] * 5)
+        assert whole == variance_pipeline(reference_scenario(140.0), 50, sizes_x=[2] * 5,
+                                          sizes_y=[2] * 5)
 
 
 # Tenth-minute observations against whole-number slack. Some services are
