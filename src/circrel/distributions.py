@@ -156,8 +156,8 @@ def _quadrature_kernel(a: float, b: float, t: float, power: int) -> float:
     it falls to 0, so a panel edge goes there: a fast rate on either side
     would otherwise hide the integrand's mass between the first nodes.
     """
-    hi = min(t, _SPAN / b)
-    edges = [0.0, t - _SPAN / a, hi] if 0.0 < t - _SPAN / a < hi else [0.0, hi]
+    hi, cut = min(t, _SPAN / b), t - _SPAN / a
+    edges = (0.0, cut, hi) if 0.0 < cut < hi else (0.0, hi)
     value = sum(stieltjes_expectation(lambda x: _exponential_cdf(a, t - x) ** power, b, lo, up)
                 for lo, up in zip(edges, edges[1:]))
     return min(1.0, max(0.0, value))
