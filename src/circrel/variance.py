@@ -188,9 +188,10 @@ def leg_kernels(leg: Leg, t: float | Sequence[float], mode: KernelMode,
         delay_only = [_quadrature_kernel(b, a, u, 2) for u in ts]
     else:
         # F(t - y_j) = c_j / n_x and G(t - x_i) = d_i / n_y under the
-        # empirical laws, so S and D are ratios of integers from one counting
-        # pass. R still comes from the public leg_reliability_plugin, where
-        # the benchmark's per-layer tracing times it, at the cost of a second.
+        # empirical laws, so S and D are ratios of integers from one count.
+        # R comes from the public leg_reliability_plugin, where the
+        # benchmark's per-layer tracing times it; _fit_counts keeps that
+        # count, so asking it again for S and D counts nothing.
         nx, ny = leg.samples.n_delays, leg.samples.n_services
         both = leg_reliability_plugin(leg.samples, ts)
         _, c2, d2 = _fit_counts(leg.samples.delays, leg.samples.services, ts)

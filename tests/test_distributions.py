@@ -128,32 +128,43 @@ class TestQuadratureKernel:
 @st.composite
 def fit_count_cases(draw):
     """Tenth-minute delays and services, with repeats, size-1 families and
-    services that tie a delay against a whole-minute slack, and one slack
-    or an ascending grid."""
+    services that tie a delay against a whole-minute slack, and one slack,
+    a short grid, or a grid with more slacks than the leg has pairs, in
+    ascending or any order. Between them they take both walks."""
     tenths = st.integers(0, 40)
     delays = draw(st.lists(tenths, min_size=1, max_size=6))
     ties = st.sampled_from([10 * t - a for a in delays for t in (1, 2, 3, 4)
                             if 10 * t >= a])
     services = draw(st.lists(st.one_of(tenths, ties), min_size=1, max_size=6))
+    slacks = st.integers(0, 80)
     grid = draw(st.one_of(
-        st.integers(0, 8).map(lambda t: [t / 2]),
-        st.lists(st.integers(0, 80), min_size=1, max_size=12).map(
-            lambda ts: [t / 10 for t in sorted(ts)]),
+        st.integers(0, 8).map(lambda t: [5 * t]),
+        st.lists(slacks, min_size=1, max_size=4),
+        st.lists(slacks, min_size=len(delays) * len(services) + 1, max_size=60),
     ))
-    return [a / 10 for a in delays], [b / 10 for b in services], grid
+    if draw(st.booleans()):
+        grid.sort()
+    return (tuple(a / 10 for a in delays), tuple(b / 10 for b in services),
+            tuple(t / 10 for t in grid))
 
 
 @given(fit_count_cases())
 @settings(max_examples=300, deadline=None)
 def test_fit_counts_match_the_pair_matrix(case):
-    # One pass over the sorted services must give what counting every
-    # delay/service pair against every slack gives, decimal ties included.
+    # Either walk must give what counting every delay/service pair against
+    # every slack gives, decimal ties included, whichever one the sizes pick.
     delays, services, grid = case
     fits = (np.add.outer(delays, services)[..., None] <= np.asarray(grid)).astype(np.int64)
     c, d = fits.sum(axis=0), fits.sum(axis=1)  # per service, per delay
     expected = (c.sum(axis=0).tolist(), (c * c).sum(axis=0).tolist(),
                 (d * d).sum(axis=0).tolist())
     assert distributions._fit_counts(delays, services, grid) == expected
+    xs, ys, ascending = sorted(delays), sorted(services), sorted(grid)
+    assert [list(column) for column in zip(*(distributions._slack_walk(xs, ys, t)
+                                             for t in grid))] == list(expected)
+    order = np.argsort(grid, kind="stable")
+    assert distributions._pair_walk(xs, ys, ascending) == [
+        np.asarray(column)[order].tolist() for column in expected]
 
 
 class TestPluginKernel:

@@ -1,9 +1,9 @@
 """Start-up: numpy loads only where arrays are built.
 
-``--help``, argument and parse errors, and closed-form ``variance`` and
-``sweep`` never touch an array, so a fresh interpreter running them must end
-without numpy in ``sys.modules``. The package's public names must be the
-modules' own objects.
+``--help``, argument and parse errors, and ``variance`` and ``sweep`` never
+touch an array, so a fresh interpreter running them must end without numpy
+in ``sys.modules``; ``estimate``, whose resampler draws arrays, loads it.
+The package's public names must be the modules' own objects.
 """
 
 import json
@@ -48,6 +48,9 @@ def _probe(argv):
     pytest.param(["variance", FIVE_LEG, "--sample-size", "20"], 0, id="closed-form-variance"),
     pytest.param(["sweep", FIVE_LEG, "--sample-size", "20", "--t-grid", "20:320:0.5"], 0,
                  id="closed-form-sweep"),
+    pytest.param(["variance", TWO_LEG, "--mode", "plugin"], 0, id="plugin-variance"),
+    pytest.param(["sweep", TWO_LEG, "--mode", "plugin", "--t-grid", "25:40:15"], 0,
+                 id="plugin-sweep"),
     pytest.param(["variance", FIVE_LEG, "--mode", "no-such-mode"], 2, id="argument-error"),
     pytest.param(["variance", str(REPO / "pyproject.toml")], 2, id="parse-error"),
 ])
@@ -55,9 +58,8 @@ def test_numpy_not_loaded(argv, code):
     assert _probe(argv) == [code, False]
 
 
-def test_numpy_loaded_by_plugin_sweep():
-    argv = ["sweep", TWO_LEG, "--mode", "plugin", "--t-grid", "25:40:15"]
-    assert _probe(argv) == [0, True]
+def test_numpy_loaded_by_estimate():
+    assert _probe(["estimate", TWO_LEG, "-r", "10"]) == [0, True]
 
 
 def test_exports_are_the_home_modules_objects():

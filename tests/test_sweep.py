@@ -13,6 +13,7 @@ import json
 import os
 import tempfile
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
@@ -23,11 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import circrel.variance
+from circrel import distributions
 from circrel import CircrelError, CirculationPlan, load_scenario, variance_pipeline
 from circrel.cli import MAX_GRID_POINTS, _parse_grid, main
 
 REPO = Path(__file__).resolve().parents[1]
 FIVE_LEG = str(REPO / "scenarios" / "five_leg_exponential.json")
+TWO_LEG = str(REPO / "scenarios" / "two_leg_samples.json")
 THREE_RATE_LINES = [(0.05, 0.05), (0.03, 0.06), (0.04, 0.02)]  # b=a, b=2a, a=2b
 DECIMAL_TIE = {"delay": {"samples": [0.1, 0.3]}, "service": {"samples": [0.4, 0.2]}}
 
@@ -169,6 +172,29 @@ def test_variance_evaluates_each_distinct_leg_once(legs, intervals, calls, monke
     assert code == 0
     assert len(json.loads(out)["per_leg_h"]) == len(intervals)
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("argv, walks", [
+    pytest.param(["sweep", TWO_LEG, "--mode", "plugin", "--t-grid", "20:60:0.5"],
+                 {"_pair_walk": 2}, id="sweep-pair-walk"),
+    pytest.param(["sweep", TWO_LEG, "--mode", "plugin", "--t-grid", "25:40:15"],
+                 {"_slack_walk": 4}, id="sweep-slack-walk"),
+    pytest.param(["variance", TWO_LEG, "--mode", "plugin"], {"_slack_walk": 2},
+                 id="variance-slack-walk"),
+])
+def test_plugin_counts_each_leg_and_column_once(argv, walks, monkeypatch):
+    # R, S and D of a sample leg come from one count per leg and column:
+    # a pair walk covers the whole column, a slack walk one slack of it.
+    calls = []
+    for name in ("_pair_walk", "_slack_walk"):
+        def spy(*args, _name=name, _walk=getattr(distributions, name)):
+            calls.append(_name)
+            return _walk(*args)
+        monkeypatch.setattr(distributions, name, spy)
+    monkeypatch.setattr(distributions, "_last_counts", None)
+    code, _, _ = _run(argv)
+    assert code == 0
+    assert Counter(calls) == walks
 
 
 def test_long_plugin_sweep_keeps_grid_sized_state(tmp_path):
