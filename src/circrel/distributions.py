@@ -133,20 +133,13 @@ def leg_reliability_exponential(leg: ExponentialLegModel, t: float) -> float:
     return _hypoexponential_cdf((leg.delay_rate, leg.service_rate), t)
 
 
-def _exponential_cdf(rate: float, u):
-    """CDF of Exp(rate) at each point of the array u; 0 below the origin."""
-    import numpy as np
-
-    return -np.expm1(-rate * np.maximum(u, 0.0))
-
-
 def stieltjes_expectation(f, rate: float, lo: float, hi: float) -> float:
-    """integral over [lo, hi] of f(x) dG(x) for G the law Exp(rate) and a
-    vectorized integrand f, by adaptive quadrature of f times its density."""
-    import numpy as np
+    """integral over [lo, hi] of f(x) dG(x) for G the law Exp(rate), by
+    adaptive quadrature of f times its density; f maps a list of nodes to a
+    list of values."""
 
-    def integrand(x: np.ndarray) -> np.ndarray:
-        return f(x) * rate * np.exp(-rate * x)
+    def integrand(xs: list[float]) -> list[float]:
+        return [v * rate * math.exp(-rate * x) for v, x in zip(f(xs), xs)]
 
     return adaptive_quadrature(integrand, lo, hi).value
 
@@ -163,8 +156,13 @@ def _quadrature_kernel(a: float, b: float, t: float, power: int) -> float:
     """
     hi, cut = min(t, _SPAN / b), t - _SPAN / a
     edges = (0.0, cut, hi) if 0.0 < cut < hi else (0.0, hi)
-    value = sum(stieltjes_expectation(lambda x: _exponential_cdf(a, t - x) ** power, b, lo, up)
-                for lo, up in zip(edges, edges[1:]))
+
+    def cdf_power(xs: list[float]) -> list[float]:
+        # F(t - x), with a * (x - t) the same double as -a * (t - x).
+        values = [-math.expm1(a * (x - t)) if x < t else 0.0 for x in xs]
+        return values if power == 1 else [v * v for v in values]
+
+    value = sum(stieltjes_expectation(cdf_power, b, lo, up) for lo, up in zip(edges, edges[1:]))
     return min(1.0, max(0.0, value))
 
 

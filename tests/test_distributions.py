@@ -33,10 +33,9 @@ CASES = ("both", "service_only", "delay_only")
 
 class TestCdf:
     def test_exponential_origin_and_tail(self):
-        values = distributions._exponential_cdf(0.05, np.array([0.0, -3.0, 1e9]))
-        assert values[0] == 0.0
-        assert values[1] == 0.0
-        assert values[2] == pytest.approx(1.0)
+        # The quadrature kernel's factor F(t - x) is 0 at and below the origin.
+        assert distributions._quadrature_kernel(0.05, 0.02, 0.0, 1) == 0.0
+        assert distributions._quadrature_kernel(0.05, 0.02, 1e9, 1) == pytest.approx(1.0)
 
 
 class TestExponentialClosedForm:
