@@ -137,6 +137,19 @@ class VarianceReport:
         return self.theta
 
 
+def _whole_sizes(sizes: Sequence[int], leg: int | None = None) -> tuple[int, ...]:
+    """sizes as ints; ValidationError unless each is a whole number >= 1,
+    which no NaN or infinite size is."""
+    if any(n < 1 for n in sizes):
+        fault = ">= 1"
+    elif any(n % 1 for n in sizes):
+        fault = "integers"
+    else:
+        return tuple(int(n) for n in sizes)
+    raise ValidationError(f"sample sizes ({', '.join(map(str, sizes))}) must be {fault}",
+                          leg=leg)
+
+
 def omega_probability(omega: Iterable[int], sizes: Sequence[int]) -> float:
     """Probability that exactly the legs in omega re-extract the same element."""
     members = frozenset(omega)
@@ -145,9 +158,7 @@ def omega_probability(omega: Iterable[int], sizes: Sequence[int]) -> float:
         if not 0 <= i < k:
             raise ValidationError(f"leg index {i} outside 0..{k - 1}")
     p = 1.0
-    for i, n in enumerate(sizes):
-        if n < 1:
-            raise ValidationError(f"sample size {n!r} must be >= 1", leg=i)
+    for i, n in enumerate(_whole_sizes(sizes)):
         p *= 1.0 / n if i in members else 1.0 - 1.0 / n
     return p
 
@@ -222,12 +233,8 @@ def _sizes_for(
         raise ValidationError(
             f"expected {k} sizes per family, got {len(sizes_x)} and {len(sizes_y)}"
         )
-    for i, (nx, ny) in enumerate(zip(sizes_x, sizes_y)):
-        if nx < 1 or ny < 1:
-            raise ValidationError(f"sample sizes ({nx}, {ny}) must be >= 1", leg=i)
-        if nx % 1 or ny % 1:
-            raise ValidationError(f"sample sizes ({nx}, {ny}) must be integers", leg=i)
-    return tuple(int(n) for n in sizes_x), tuple(int(n) for n in sizes_y)
+    pairs = [_whole_sizes(pair, leg=i) for i, pair in enumerate(zip(sizes_x, sizes_y))]
+    return tuple(nx for nx, _ in pairs), tuple(ny for _, ny in pairs)
 
 
 def _mu11_enumerated(tables: Sequence[_KernelTable], j: int, sizes_x: Sequence[int],

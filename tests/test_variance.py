@@ -67,6 +67,19 @@ class TestOmegaProbability:
         with pytest.raises(ValidationError, match=r"^leg index 3 outside 0\.\.2$"):
             omega_probability({3}, [5, 5, 5])
 
+    @pytest.mark.parametrize("sizes, fault", [
+        ([0], r"\(0\) must be >= 1"),
+        ([2.5], r"\(2\.5\) must be integers"),
+        ([5, math.inf], r"\(5, inf\) must be integers"),
+        ([math.nan], r"\(nan\) must be integers"),
+    ], ids=["zero", "fraction", "infinite", "nan"])
+    def test_sizes_that_cannot_exist_rejected(self, sizes, fault):
+        # No draw has these sizes, so no probability may come back for them.
+        with pytest.raises(ValidationError, match=fault):
+            omega_probability([0], sizes)
+        with pytest.raises(ValidationError, match=fault):
+            omega_probability([], sizes)
+
     def test_completeness(self):
         sizes = [3, 7, 2, 9]
         total = sum(
