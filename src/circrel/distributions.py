@@ -39,6 +39,7 @@ import math
 from bisect import bisect_left
 from itertools import accumulate
 from numbers import Real
+from operator import mul
 from typing import Sequence
 
 from .errors import ValidationError
@@ -191,18 +192,19 @@ def _slack_walk(xs: list[float], ys: list[float], t: float) -> tuple[int, int, i
 
     Services are taken in ascending order, so the count c of delays that fit
     never increases and a pointer moves down the sorted delays only once.
+    Delay i fits exactly the d_i smallest services, so sum(d**2) is the sum
+    over m of (2m + 1) c_m, with c_m the count for the m-th smallest service.
     """
     fit = len(xs)
-    total = squares = crossed = 0
-    for m, y in enumerate(ys):
+    counts = []
+    for y in ys:
         while fit and xs[fit - 1] + y > t:
             fit -= 1
         if not fit:
             break
-        total += fit
-        squares += fit * fit
-        crossed += (2 * m + 1) * fit
-    return total, squares, crossed
+        counts.append(fit)
+    total = sum(counts)
+    return total, sum(map(mul, counts, counts)), 2 * sum(map(mul, range(len(counts)), counts)) + total
 
 
 def _pair_walk(xs: list[float], ys: list[float], grid: list[float]) -> list[list[int]]:
@@ -258,13 +260,15 @@ def _fit_counts(delays, services, ts: Sequence[float]) -> tuple[list[int], list[
         ys = sorted(map(float, key[1]))
         slacks = [float(t) for t in key[2]]
         if 3 * len(xs) * len(ys) < len(slacks) * (len(xs) + len(ys)):
-            # Equal slacks have equal counts, so any of their grid places will do.
             grid = sorted(slacks)
-            counts = tuple(tuple(column[bisect_left(grid, t)] for t in slacks)
-                           for column in _pair_walk(xs, ys, grid))
+            counts = _pair_walk(xs, ys, grid)
+            if grid != slacks:
+                # Equal slacks have equal counts, so any of their places will do.
+                places = [bisect_left(grid, t) for t in slacks]
+                counts = [[column[g] for g in places] for column in counts]
         else:
-            counts = tuple(zip(*(_slack_walk(xs, ys, t) for t in slacks))) or ((), (), ())
-        last = _last_counts = key, counts
+            counts = list(zip(*(_slack_walk(xs, ys, t) for t in slacks))) or [(), (), ()]
+        last = _last_counts = key, tuple(map(tuple, counts))
     return tuple(list(column) for column in last[1])
 
 
@@ -273,5 +277,6 @@ def leg_reliability_plugin(samples: LegSamples, t: float | Sequence[float]) -> f
     slack t or, as a list, for each slack of a sequence."""
     single = isinstance(t, Real)
     counts = _fit_counts(samples.delays, samples.services, (t,) if single else t)[0]
-    shares = [count / (samples.n_delays * samples.n_services) for count in counts]
+    pairs = samples.n_delays * samples.n_services
+    shares = [count / pairs for count in counts]
     return shares[0] if single else shares
