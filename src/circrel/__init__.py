@@ -4,8 +4,10 @@ Estimates the probability that every leg of a k-leg plan fits its slack
 time, by resampling from small observed samples of delays and service
 times, and computes the exact variance of that estimator analytically.
 
-No module of the package imports numpy at import time, so importing it
-(or ``circrel.cli`` for a closed-form call) does not load numpy.
+No module of the package imports numpy at import time. The kernels, the
+quadrature, the variance and the sweep run in plain Python floats and
+integers; only the resampler and the oracles, behind ``estimate`` and
+``verify``, load numpy when they run.
 """
 
 from .cli import load_scenario

@@ -181,9 +181,9 @@ def leg_reliability_quadrature(leg: ExponentialLegModel, t: float) -> float:
     return _quadrature_kernel(a, b, t, 1)
 
 
-# The last _fit_counts request and its counts: leg_kernels asks twice for each
-# sample leg and column, once through leg_reliability_plugin and once for S
-# and D, and the second request is answered from here.
+# (key, counts) of the last _fit_counts request. leg_kernels asks twice for
+# each sample leg and column, through leg_reliability_plugin for R and then
+# for S and D, and the second request is answered from here.
 _last_counts: tuple[tuple, tuple[tuple[int, ...], ...]] | None = None
 
 
@@ -204,7 +204,8 @@ def _slack_walk(xs: list[float], ys: list[float], t: float) -> tuple[int, int, i
             break
         counts.append(fit)
     total = sum(counts)
-    return total, sum(map(mul, counts, counts)), 2 * sum(map(mul, range(len(counts)), counts)) + total
+    crossed = 2 * sum(map(mul, range(len(counts)), counts)) + total
+    return total, sum(map(mul, counts, counts)), crossed
 
 
 def _pair_walk(xs: list[float], ys: list[float], grid: list[float]) -> list[list[int]]:
@@ -248,7 +249,8 @@ def _fit_counts(delays, services, ts: Sequence[float]) -> tuple[list[int], list[
     alone, and both walks give the same integers.
 
     The last request's counts are kept, keyed on the delays, services and
-    slacks, so asking again for the same leg and column costs no count.
+    slacks as tuples, so asking again for the same leg and column costs no
+    count, and a list changed in place after a request is counted afresh.
     """
     global _last_counts
     key = (tuple(delays), tuple(services), tuple(ts))

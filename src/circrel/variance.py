@@ -138,8 +138,8 @@ class VarianceReport:
 
 
 def _whole_sizes(sizes: Sequence[int], leg: int | None = None) -> tuple[int, ...]:
-    """sizes as ints; ValidationError unless each is a whole number >= 1,
-    which no NaN or infinite size is."""
+    """sizes as ints, or a ValidationError unless each is a whole number
+    >= 1; NaN and infinite sizes are not."""
     if any(n < 1 for n in sizes):
         fault = ">= 1"
     elif any(n % 1 for n in sizes):

@@ -193,3 +193,11 @@ def test_tube_fallback_continuous():
             ExponentialLegModel(a, a * (1.0 - 1.001e-6)), t
         )
         assert abs(inside - outside) < 1e-6
+
+
+def test_fit_counts_recount_a_list_changed_in_place():
+    # The kept result is keyed on copies, so an edited list is counted again.
+    delays = [1.0, 2.0]
+    assert distributions._fit_counts(delays, (1.0,), (2.5,)) == ([1], [1], [1])
+    delays[1] = 0.5
+    assert distributions._fit_counts(delays, (1.0,), (2.5,)) == ([2], [4], [2])
