@@ -240,13 +240,12 @@ def _fit_counts(delays, services, ts: Sequence[float]) -> tuple[list[int], list[
     with float() first, so integers above 2**53 count as their doubles.
     fl(x + y) is monotone in x and in y, so the delays that fit a service are
     a prefix of the sorted delays and the services that fit a delay a prefix
-    of the sorted services; both walks rest on that. The slack walk costs
-    about n_x + n_y steps per slack and the pair walk n_x * n_y bisections
-    for the whole grid. On a 2-vCPU Xeon under CPython 3.11 a pair step took
-    0.2-0.4 us and a slack step 0.07-0.16 us, and whole counts crossed over
+    of the sorted services; both walks rest on that. The slack walk takes
+    about n_x + n_y steps per slack, the pair walk n_x n_y bisections for
+    all G slacks. On a 2-vCPU Xeon under CPython 3.11 they broke even
     between G (n_x + n_y) = 2.5 and 3.5 n_x n_y, so the pair walk runs when
-    3 n_x n_y < G (n_x + n_y) for G slacks. The choice rests on those sizes
-    alone, and both walks give the same integers.
+    3 n_x n_y < G (n_x + n_y). The choice rests on those sizes alone, and
+    both walks give the same integers.
 
     The last request's counts are kept, keyed on the delays, services and
     slacks as tuples, so asking again for the same leg and column costs no

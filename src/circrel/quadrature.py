@@ -23,42 +23,35 @@ from typing import Callable
 
 from .errors import QuadratureNonConvergence
 
-# Kronrod-21 nodes on [-1, 1] and their weights, to full double precision
-# (Piessens et al., QUADPACK, Springer 1983, routine qk21). The Gauss-10
-# nodes are the odd positions, with weights _WEIGHTS_G.
-_NODES = (
-    -0.995657163025808080735527280689003, -0.973906528517171720077964012084452,
-    -0.930157491355708226001207180059508, -0.865063366688984510732096688423493,
-    -0.780817726586416897063717578345042, -0.679409568299024406234327365114874,
-    -0.562757134668604683339000099272694, -0.433395394129247190799265943165784,
-    -0.294392862701460198131126603103866, -0.148874338981631210884826001129720,
-    0.0,
-    0.148874338981631210884826001129720, 0.294392862701460198131126603103866,
-    0.433395394129247190799265943165784, 0.562757134668604683339000099272694,
-    0.679409568299024406234327365114874, 0.780817726586416897063717578345042,
-    0.865063366688984510732096688423493, 0.930157491355708226001207180059508,
-    0.973906528517171720077964012084452, 0.995657163025808080735527280689003,
+# QUADPACK's qk21 constants to full double precision (Piessens et al.,
+# QUADPACK, Springer 1983): the nonnegative Kronrod-21 nodes on [-1, 1] from
+# the largest, their Kronrod weights, and the Gauss-10 weights of the nodes
+# at odd positions. The rule mirrors them, so it is symmetric to the bit.
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0,
 )
-_WEIGHTS_K = (
+_WGK = (
     0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
     0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
     0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
     0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
     0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
     0.149445554002916905664936468389821,
-    0.147739104901338491374841515972068, 0.142775938577060080797094273138717,
-    0.134709217311473325928054001771707, 0.123491976262065851077958109831074,
-    0.109387158802297641899210590325805, 0.093125454583697605535065465083366,
-    0.075039674810919952767043140916190, 0.054755896574351996031381300244580,
-    0.032558162307964727478818972459390, 0.011694638867371874278064396062192,
 )
-_WEIGHTS_G = (
+_WG = (
     0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338, 0.295524224714752870173892994651338,
-    0.269266719309996355091226921569469, 0.219086362515982043995534934228163,
-    0.149451349150580593145776339657697, 0.066671344308688137593568809893332,
+    0.295524224714752870173892994651338,
 )
+# Ascending nodes with their Kronrod weights, and the Gauss weights of the
+# nodes at odd positions.
+_NODES = tuple(-x for x in _XGK[:-1]) + _XGK[::-1]
+_WEIGHTS_K = _WGK + _WGK[-2::-1]
+_WEIGHTS_G = _WG + _WG[::-1]
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-16
