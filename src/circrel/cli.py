@@ -181,12 +181,9 @@ def load_scenario(path: str, samples_csv_path: str | None = None) -> Scenario:
         if csv_delays is not None and i < len(csv_delays):
             delays += csv_delays[i]
             services += csv_services[i]
-        samples = None
-        if delays or services:
-            if not delays or not services:
-                missing = "service" if delays else "delay"
-                raise ValidationError(f"samples present but no {missing} values", leg=i)
-            samples = LegSamples(tuple(delays), tuple(services))
+        # A leg with values in one family only is left for validate_scenario
+        # to name the empty one.
+        samples = LegSamples(tuple(delays), tuple(services)) if delays or services else None
         legs.append(Leg(samples=samples, rates=rates))
 
     return validate_scenario(Scenario(plan=CirculationPlan(intervals), legs=tuple(legs)))

@@ -24,10 +24,7 @@ Sample legs use one fit rule everywhere: a delay/service pair fits when the
 floating-point sum satisfies x + y <= t, the resampler's own test, so a tie
 x + y = t fits. ``_fit_counts`` is the only place it is written; every
 sample-leg kernel is a ratio of the integer counts it returns, for one slack
-or a whole grid of slacks. It counts in pure Python, by a walk down the
-sorted samples per slack or by placing each pair once in the sorted grid,
-whichever the sizes make cheaper, and keeps its last result, so the second
-request for one leg and column is free.
+or a whole grid of slacks.
 
 Supports are nonnegative throughout: F(u) = G(u) = 0 for u < 0, so every
 integral truncates to [0, t].
@@ -35,6 +32,7 @@ integral truncates to [0, t].
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from itertools import accumulate
@@ -42,8 +40,7 @@ from numbers import Real
 from operator import mul
 from typing import Sequence
 
-from .errors import ValidationError
-from .plan import ExponentialLegModel, LegSamples
+from .plan import ExponentialLegModel, LegSamples, _check_rate, _check_samples, _check_slack
 from .quadrature import adaptive_quadrature
 
 # Stage values rate * t are capped here. A stage this fast moves the CDF by
@@ -60,11 +57,6 @@ _NEWTON_STEPS = {
     m: tuple((i, i + order) for order in range(1, m + 1) for i in range(m + 1 - order))
     for m in (1, 2, 3)
 }
-
-
-def _require_nonnegative_time(t: float) -> None:
-    if t < 0 or not math.isfinite(t):
-        raise ValidationError(f"slack time {t!r}")
 
 
 def _exp_divided_difference_taylor(x: list[float]) -> float:
@@ -124,14 +116,21 @@ def _hypoexponential_cdf(rates: Sequence[float], t: float) -> float:
     return min(1.0, max(0.0, math.prod(x[1:]) * row[0]))
 
 
+def _checked_rates(leg: ExponentialLegModel, t: float) -> tuple[float, float]:
+    """The leg's delay and service rates, once they and the slack t pass."""
+    _check_slack(t)
+    _check_rate(leg.delay_rate)
+    _check_rate(leg.service_rate)
+    return leg.delay_rate, leg.service_rate
+
+
 def leg_reliability_exponential(leg: ExponentialLegModel, t: float) -> float:
     """P(X + Y <= t) for exponential delay and service laws.
 
     The CDF of the two-stage hypoexponential sum Exp(a) + Exp(b), with a the
     delay rate and b the service rate; b = a needs no special case.
     """
-    _require_nonnegative_time(t)
-    return _hypoexponential_cdf((leg.delay_rate, leg.service_rate), t)
+    return _hypoexponential_cdf(_checked_rates(leg, t), t)
 
 
 def stieltjes_expectation(f, rate: float, lo: float, hi: float) -> float:
@@ -173,39 +172,33 @@ def leg_reliability_quadrature(leg: ExponentialLegModel, t: float) -> float:
     X ~ Exp(delay rate) and Y ~ Exp(service rate) independent. Agrees with
     ``leg_reliability_exponential`` to the quadrature tolerance.
     """
-    _require_nonnegative_time(t)
-    a, b = leg.delay_rate, leg.service_rate
-    for rate in (a, b):
-        if not math.isfinite(rate) or rate <= 0:
-            raise ValidationError(f"rate {rate!r}")
+    a, b = _checked_rates(leg, t)
     return _quadrature_kernel(a, b, t, 1)
 
 
-# (key, counts) of the last _fit_counts request. leg_kernels asks twice for
-# each sample leg and column, through leg_reliability_plugin for R and then
-# for S and D, and the second request is answered from here.
-_last_counts: tuple[tuple, tuple[tuple[int, ...], ...]] | None = None
-
-
-def _slack_walk(xs: list[float], ys: list[float], t: float) -> tuple[int, int, int]:
-    """sum(c), sum(c**2) and sum(d**2) at one slack, in O(n_x + n_y) steps.
+def _slack_walk(xs: list[float], ys: list[float], slacks: list[float]) -> list[list[int]]:
+    """sum(c), sum(c**2) and sum(d**2) at each slack, in O(n_x + n_y) steps
+    per slack.
 
     Services are taken in ascending order, so the count c of delays that fit
     never increases and a pointer moves down the sorted delays only once.
     Delay i fits exactly the d_i smallest services, so sum(d**2) is the sum
     over m of (2m + 1) c_m, with c_m the count for the m-th smallest service.
     """
-    fit = len(xs)
-    counts = []
-    for y in ys:
-        while fit and xs[fit - 1] + y > t:
-            fit -= 1
-        if not fit:
-            break
-        counts.append(fit)
-    total = sum(counts)
-    crossed = 2 * sum(map(mul, range(len(counts)), counts)) + total
-    return total, sum(map(mul, counts, counts)), crossed
+    total, squares, crossed = [], [], []
+    for t in slacks:
+        fit = len(xs)
+        counts = []
+        for y in ys:
+            while fit and xs[fit - 1] + y > t:
+                fit -= 1
+            if not fit:
+                break
+            counts.append(fit)
+        total.append(sum(counts))
+        squares.append(sum(map(mul, counts, counts)))
+        crossed.append(2 * sum(map(mul, range(len(counts)), counts)) + total[-1])
+    return [total, squares, crossed]
 
 
 def _pair_walk(xs: list[float], ys: list[float], grid: list[float]) -> list[list[int]]:
@@ -247,37 +240,40 @@ def _fit_counts(delays, services, ts: Sequence[float]) -> tuple[list[int], list[
     3 n_x n_y < G (n_x + n_y). The choice rests on those sizes alone, and
     both walks give the same integers.
 
-    The last request's counts are kept, keyed on the delays, services and
-    slacks as tuples, so asking again for the same leg and column costs no
-    count, and a list changed in place after a request is counted afresh.
+    The last result is kept, keyed on tuple copies of the inputs, so the
+    second request for a leg and column (leg_kernels asks for R, then for S
+    and D) costs no count. Callers check the values first.
     """
-    global _last_counts
-    key = (tuple(delays), tuple(services), tuple(ts))
-    last = _last_counts
-    if last is None or last[0] != key:
-        for t in key[2]:
-            _require_nonnegative_time(t)
-        xs = sorted(map(float, key[0]))
-        ys = sorted(map(float, key[1]))
-        slacks = [float(t) for t in key[2]]
-        if 3 * len(xs) * len(ys) < len(slacks) * (len(xs) + len(ys)):
-            grid = sorted(slacks)
-            counts = _pair_walk(xs, ys, grid)
-            if grid != slacks:
-                # Equal slacks have equal counts, so any of their places will do.
-                places = [bisect_left(grid, t) for t in slacks]
-                counts = [[column[g] for g in places] for column in counts]
-        else:
-            counts = list(zip(*(_slack_walk(xs, ys, t) for t in slacks))) or [(), (), ()]
-        last = _last_counts = key, tuple(map(tuple, counts))
-    return tuple(list(column) for column in last[1])
+    return tuple(map(list, _kept_counts(tuple(delays), tuple(services), tuple(ts))))
+
+
+@functools.lru_cache(maxsize=1)
+def _kept_counts(delays: tuple, services: tuple, ts: tuple) -> tuple[tuple[int, ...], ...]:
+    """``_fit_counts`` on tuples, with its last result kept."""
+    xs = sorted(map(float, delays))
+    ys = sorted(map(float, services))
+    slacks = [float(t) for t in ts]
+    if 3 * len(xs) * len(ys) < len(slacks) * (len(xs) + len(ys)):
+        grid = sorted(slacks)
+        counts = _pair_walk(xs, ys, grid)
+        if grid != slacks:
+            # Equal slacks have equal counts, so any of their places will do.
+            places = [bisect_left(grid, t) for t in slacks]
+            counts = [[column[g] for g in places] for column in counts]
+    else:
+        counts = _slack_walk(xs, ys, slacks)
+    return tuple(map(tuple, counts))
 
 
 def leg_reliability_plugin(samples: LegSamples, t: float | Sequence[float]) -> float | list[float]:
     """Fraction of delay/service sample cross-pairs with x + y <= t, for one
     slack t or, as a list, for each slack of a sequence."""
     single = isinstance(t, Real)
-    counts = _fit_counts(samples.delays, samples.services, (t,) if single else t)[0]
+    ts = (t,) if single else t
+    _check_samples(samples)
+    for u in ts:
+        _check_slack(u)
+    counts = _fit_counts(samples.delays, samples.services, ts)[0]
     pairs = samples.n_delays * samples.n_services
     shares = [count / pairs for count in counts]
     return shares[0] if single else shares

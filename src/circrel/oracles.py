@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import EnumerationTooLarge, ValidationError
-from .plan import Leg, Scenario, validate_scenario
+from .plan import Leg, Scenario, _leg_sizes, validate_scenario
 from .resampler import ResamplingConfig, _success_counts, realization_stream
 
 if TYPE_CHECKING:
@@ -181,15 +181,10 @@ def simulate_pipeline_variance(
     import numpy as np
 
     validate_scenario(scenario)
-    k = scenario.plan.k
     for i, leg in enumerate(scenario.legs):
         if leg.rates is None:
             raise ValidationError("simulation needs exponential rates", leg=i)
-    if len(sizes_x) != k or len(sizes_y) != k:
-        raise ValidationError(f"expected {k} sizes per family")
-    if any(n < 1 or n % 1 for n in (*sizes_x, *sizes_y)):
-        raise ValidationError("sample sizes must be integers >= 1")
-    sizes_x, sizes_y = [int(n) for n in sizes_x], [int(n) for n in sizes_y]
+    sizes_x, sizes_y = _leg_sizes(sizes_x, sizes_y, scenario.plan.k)
     ResamplingConfig(r=r, seed=seed)  # rejects r < 1 and seeds outside 64 bits
     if replications < 2:
         raise ValidationError("need at least 2 replications for a variance")

@@ -12,9 +12,10 @@ Per-leg knowledge comes in two forms, and a leg may carry both:
   expected case), or
 * exponential rates for the delay and service distributions.
 
-All types are plain immutable carriers; ``validate_scenario`` performs the
-invariant checks and is the single gate through which scenarios enter the
-estimators.
+All types are plain immutable carriers. Each input rule is written once,
+here, in the helpers below, whose message starts with a noun the caller
+passes. ``validate_scenario`` applies them to a whole scenario and every
+other public entry point to the values it takes directly.
 """
 
 from __future__ import annotations
@@ -77,12 +78,48 @@ class Scenario:
     legs: tuple[Leg, ...]
 
 
-def _check_sample_values(values: Sequence[float], leg: int, kind: str) -> None:
-    if len(values) == 0:
-        raise ValidationError(f"empty {kind} sample", leg=leg)
-    for v in values:
-        if not math.isfinite(v) or v < 0:
-            raise ValidationError(f"{kind} sample value {v!r}", leg=leg)
+def _check_slack(t: float, noun: str = "slack time", leg: int | None = None) -> None:
+    if not math.isfinite(t) or t < 0:
+        raise ValidationError(f"{noun} {t!r}", leg=leg)
+
+
+def _check_rate(rate: float, noun: str = "rate", leg: int | None = None) -> None:
+    if not math.isfinite(rate) or rate <= 0:
+        raise ValidationError(f"{noun} {rate!r}", leg=leg)
+
+
+def _check_samples(samples: LegSamples, leg: int | None = None) -> None:
+    for kind, values in (("delay", samples.delays), ("service", samples.services)):
+        if len(values) == 0:
+            raise ValidationError(f"empty {kind} sample", leg=leg)
+        for v in values:
+            if not math.isfinite(v) or v < 0:
+                raise ValidationError(f"{kind} sample value {v!r}", leg=leg)
+
+
+def _whole_sizes(sizes: Sequence[int], leg: int | None = None) -> tuple[int, ...]:
+    """sizes as ints, each a whole number >= 1, as NaN and inf are not."""
+    fault = (">= 1" if any(n < 1 for n in sizes)
+             else "integers" if any(n % 1 for n in sizes) else None)
+    if fault:
+        raise ValidationError(f"sample sizes ({', '.join(map(str, sizes))}) must be {fault}",
+                              leg=leg)
+    return tuple(int(n) for n in sizes)
+
+
+def _leg_sizes(sizes_x: Sequence[int], sizes_y: Sequence[int],
+               k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One whole delay and service sample size >= 1 per leg, as ints."""
+    if len(sizes_x) != k or len(sizes_y) != k:
+        raise ValidationError(
+            f"expected {k} sizes per family, got {len(sizes_x)} and {len(sizes_y)}")
+    pairs = [_whole_sizes(pair, leg=i) for i, pair in enumerate(zip(sizes_x, sizes_y))]
+    return tuple(nx for nx, _ in pairs), tuple(ny for _, ny in pairs)
+
+
+def _check_realizations(r: int) -> None:
+    if r < 1:
+        raise ValidationError(f"realization count {r!r} must be >= 1")
 
 
 def validate_scenario(raw: Scenario) -> Scenario:
@@ -95,8 +132,7 @@ def validate_scenario(raw: Scenario) -> Scenario:
     if plan.k == 0:
         raise ValidationError("plan has no legs")
     for i, t in enumerate(plan.intervals):
-        if not math.isfinite(t) or t < 0:
-            raise ValidationError(f"interval {t!r}", leg=i)
+        _check_slack(t, "interval", i)
     if len(raw.legs) != plan.k:
         raise ValidationError(
             f"plan has {plan.k} legs but {len(raw.legs)} leg models supplied"
@@ -105,15 +141,10 @@ def validate_scenario(raw: Scenario) -> Scenario:
         if leg.samples is None and leg.rates is None:
             raise ValidationError("leg carries neither samples nor rates", leg=i)
         if leg.samples is not None:
-            _check_sample_values(leg.samples.delays, i, "delay")
-            _check_sample_values(leg.samples.services, i, "service")
+            _check_samples(leg.samples, i)
         if leg.rates is not None:
-            for name, rate in (
-                ("delay", leg.rates.delay_rate),
-                ("service", leg.rates.service_rate),
-            ):
-                if not math.isfinite(rate) or rate <= 0:
-                    raise ValidationError(f"{name} rate {rate!r}", leg=i)
+            _check_rate(leg.rates.delay_rate, "delay rate", i)
+            _check_rate(leg.rates.service_rate, "service rate", i)
     return raw
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import MissingSamples, ValidationError
-from .plan import Scenario, validate_scenario
+from .plan import Scenario, _check_realizations, validate_scenario
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,8 +57,7 @@ class ResamplingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.r < 1:
-            raise ValidationError(f"realization count {self.r!r} must be >= 1")
+        _check_realizations(self.r)
         if self.r >= 2**63:  # realization indices are int64
             raise ValidationError(f"realization count {self.r!r} must be below 2**63")
         if not 0 <= self.seed < 2**_SEED_BITS:

@@ -61,6 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from numbers import Real
+from operator import getitem
 from typing import Iterable, Iterator, Literal, Sequence
 
 from .distributions import (
@@ -72,7 +73,8 @@ from .distributions import (
     leg_reliability_quadrature,
 )
 from .errors import EnumerationTooLarge, NegativeVariance, ValidationError
-from .plan import CirculationPlan, Leg, Scenario, plan_reliability, validate_scenario
+from .plan import (CirculationPlan, Leg, Scenario, _check_realizations, _leg_sizes, _whole_sizes,
+                   plan_reliability, validate_scenario)
 
 KernelMode = Literal["closed_form", "quadrature", "plugin", "auto"]
 Mu11Method = Literal["factorized", "enumerate"]
@@ -137,19 +139,6 @@ class VarianceReport:
         return self.theta
 
 
-def _whole_sizes(sizes: Sequence[int], leg: int | None = None) -> tuple[int, ...]:
-    """sizes as ints, or a ValidationError unless each is a whole number
-    >= 1; NaN and infinite sizes are not."""
-    if any(n < 1 for n in sizes):
-        fault = ">= 1"
-    elif any(n % 1 for n in sizes):
-        fault = "integers"
-    else:
-        return tuple(int(n) for n in sizes)
-    raise ValidationError(f"sample sizes ({', '.join(map(str, sizes))}) must be {fault}",
-                          leg=leg)
-
-
 def omega_probability(omega: Iterable[int], sizes: Sequence[int]) -> float:
     """Probability that exactly the legs in omega re-extract the same element."""
     members = frozenset(omega)
@@ -157,19 +146,21 @@ def omega_probability(omega: Iterable[int], sizes: Sequence[int]) -> float:
     for i in members:
         if not 0 <= i < k:
             raise ValidationError(f"leg index {i} outside 0..{k - 1}")
-    p = 1.0
-    for i, n in enumerate(_whole_sizes(sizes)):
-        p *= 1.0 / n if i in members else 1.0 - 1.0 / n
-    return p
+    return math.prod((1.0 / n if i in members else 1.0 - 1.0 / n
+                      for i, n in enumerate(_whole_sizes(sizes))), start=1.0)
 
 
 def _resolve_mode(leg: Leg, mode: KernelMode, index: int) -> str:
+    """The kernel path that runs for the leg: a leg without rates is counted
+    as plug-in mode counts it, and auto takes the closed form where it can."""
     if mode not in ("closed_form", "quadrature", "plugin", "auto"):
         raise ValidationError(f"unknown kernel mode {mode!r}")
-    if mode == "auto":
-        return "closed_form" if leg.rates is not None else "plugin"
-    if mode == "closed_form" and leg.rates is None:
-        raise ValidationError("closed_form kernels need exponential rates", leg=index)
+    if leg.rates is None:
+        if mode == "closed_form":
+            raise ValidationError("closed_form kernels need exponential rates", leg=index)
+        mode = "plugin"
+    elif mode == "auto":
+        mode = "closed_form"
     if mode == "plugin" and leg.samples is None:
         raise ValidationError("plugin kernels need samples", leg=index)
     return mode
@@ -182,7 +173,8 @@ def leg_kernels(leg: Leg, t: float | Sequence[float], mode: KernelMode,
     t is one slack, giving its ``LegKernels``, or a sequence of slacks,
     giving one table of R, S and D over all of them. The mode picks how R
     and the two one-sided kernels are evaluated; the neither-coincides
-    kernel is always R**2, reported with R's method.
+    kernel is always R**2, reported with R's method: the path that ran, so
+    ``plugin`` for a leg without rates in quadrature mode.
     """
     resolved = _resolve_mode(leg, mode, index)
     single = isinstance(t, Real)
@@ -192,17 +184,15 @@ def leg_kernels(leg: Leg, t: float | Sequence[float], mode: KernelMode,
         both = [leg_reliability_exponential(leg.rates, u) for u in ts]
         service_only = [_hypoexponential_cdf((a, 2.0 * a, b), u) for u in ts]
         delay_only = [_hypoexponential_cdf((b, 2.0 * b, a), u) for u in ts]
-    elif resolved == "quadrature" and leg.rates is not None:
+    elif resolved == "quadrature":
         a, b = leg.rates.delay_rate, leg.rates.service_rate
         both = [leg_reliability_quadrature(leg.rates, u) for u in ts]
         service_only = [_quadrature_kernel(a, b, u, 2) for u in ts]
         delay_only = [_quadrature_kernel(b, a, u, 2) for u in ts]
     else:
-        # F(t - y_j) = c_j / n_x and G(t - x_i) = d_i / n_y under the
-        # empirical laws, so S and D are ratios of integers from one count.
         # R comes from the public leg_reliability_plugin, where the
-        # benchmark's per-layer tracing times it; _fit_counts keeps that
-        # count, so asking it again for S and D counts nothing.
+        # benchmark's tracing times it; _fit_counts keeps that count, so
+        # asking it again for S and D counts nothing.
         nx, ny = leg.samples.n_delays, leg.samples.n_services
         both = leg_reliability_plugin(leg.samples, ts)
         _, c2, d2 = _fit_counts(leg.samples.delays, leg.samples.services, ts)
@@ -212,105 +202,97 @@ def leg_kernels(leg: Leg, t: float | Sequence[float], mode: KernelMode,
     return table.at(0) if single else table
 
 
-def _sizes_for(
-    scenario: Scenario,
-    sizes_x: Sequence[int] | None,
-    sizes_y: Sequence[int] | None,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    k = scenario.plan.k
+def _sizes_for(scenario: Scenario, sizes_x: Sequence[int] | None,
+               sizes_y: Sequence[int] | None) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The sizes given, or else each leg's own sample sizes, as checked ints."""
     if sizes_x is None or sizes_y is None:
-        derived_x, derived_y = [], []
         for i, leg in enumerate(scenario.legs):
             if leg.samples is None:
                 raise ValidationError(
                     "sample sizes required when a leg carries no samples", leg=i
                 )
-            derived_x.append(leg.samples.n_delays)
-            derived_y.append(leg.samples.n_services)
-        sizes_x = sizes_x if sizes_x is not None else derived_x
-        sizes_y = sizes_y if sizes_y is not None else derived_y
-    if len(sizes_x) != k or len(sizes_y) != k:
-        raise ValidationError(
-            f"expected {k} sizes per family, got {len(sizes_x)} and {len(sizes_y)}"
-        )
-    pairs = [_whole_sizes(pair, leg=i) for i, pair in enumerate(zip(sizes_x, sizes_y))]
-    return tuple(nx for nx, _ in pairs), tuple(ny for _, ny in pairs)
+        if sizes_x is None:
+            sizes_x = [leg.samples.n_delays for leg in scenario.legs]
+        if sizes_y is None:
+            sizes_y = [leg.samples.n_services for leg in scenario.legs]
+    return _leg_sizes(sizes_x, sizes_y, scenario.plan.k)
 
 
-def _mu11_enumerated(tables: Sequence[_KernelTable], j: int, sizes_x: Sequence[int],
-                     sizes_y: Sequence[int]) -> float:
+def _pattern_weights(sizes: Sequence[int]) -> list[float]:
+    """The probability of each coincidence pattern m of one sample family
+    (bit i set when leg i re-extracts the same element): the products of
+    ``omega_probability``, factor by factor in leg order."""
+    weights = [1.0]
+    for n in sizes:
+        weights = [w * f for f in (1.0 - 1.0 / n, 1.0 / n) for w in weights]
+    return weights
+
+
+def _mu11_enumerated(tables: Sequence[_KernelTable], sizes_x: Sequence[int],
+                     sizes_y: Sequence[int]) -> list[float]:
     k = len(tables)
     if k > ENUMERATE_MAX_LEGS:
-        raise EnumerationTooLarge(
-            f"{4 ** k} coincidence patterns for k={k}; enumerate needs k <= "
-            f"{ENUMERATE_MAX_LEGS}"
-        )
-    p1 = [omega_probability((i for i in range(k) if m >> i & 1), sizes_x)
-          for m in range(1 << k)]
-    p2 = [omega_probability((i for i in range(k) if m >> i & 1), sizes_y)
-          for m in range(1 << k)]
-    # Each leg's kernel when its delay (bit 0) and service (bit 1) indices
-    # coincide or not: neither is R**2, delay only D, service only S, both R.
-    values = [(table.both[j] * table.both[j], table.delay_only[j], table.service_only[j],
-               table.both[j]) for table in tables]
+        raise EnumerationTooLarge(f"{4 ** k} coincidence patterns for k={k}; enumerate needs "
+                                  f"k <= {ENUMERATE_MAX_LEGS}")
+    p1, p2 = _pattern_weights(sizes_x), _pattern_weights(sizes_y)
     # Both sums are correctly rounded. The pattern weights need not sum to 1
     # in floating point, so the weighted sum is divided by their own sum:
     # each term is at most its weight and rounding is monotone, so mu11
     # cannot exceed 1, and it is exactly 1 when every kernel is.
-    def terms() -> Iterator[float]:
-        for m1 in range(1 << k):
-            for m2 in range(1 << k):
-                term = p1[m1] * p2[m2]
-                if term == 0.0:
-                    continue
-                for i, kern in enumerate(values):
-                    term *= kern[(m1 >> i & 1) | (m2 >> i & 1) << 1]
-                yield term
+    total = math.fsum(a * b for a in p1 for b in p2)
+    bits = [[m >> i & 1 for i in range(k)] for m in range(1 << k)]
+    mu11 = []
+    for kernels in zip(*(zip(t.both, t.delay_only, t.service_only) for t in tables)):
+        # Each leg's kernel when its delay (bit 0) and service (bit 1) indices
+        # coincide or not: neither is R**2, delay only D, service only S, both R.
+        values = [(r * r, d, s, r) for r, d, s in kernels]
+        # Per delay pattern, the two kernels each leg's service bit chooses from.
+        rows = ([(v[b], v[b | 2]) for v, b in zip(values, b1)] for b1 in bits)
+        mu11.append(math.fsum(math.prod(map(getitem, row, b2), start=w1 * w2)
+                              for row, w1 in zip(rows, p1) for b2, w2 in zip(bits, p2)) / total)
+    return mu11
 
-    return math.fsum(terms()) / math.fsum(a * b for a in p1 for b in p2)
 
-
-def _mu11(tables: Sequence[_KernelTable], j: int, sizes_x: Sequence[int],
-          sizes_y: Sequence[int], method: Mu11Method) -> float:
-    """mu11 at the j-th slack of every leg's kernel table, by the chosen method."""
+def _mu11(tables: Sequence[_KernelTable], sizes_x: Sequence[int], sizes_y: Sequence[int],
+          method: Mu11Method) -> list[float]:
+    """mu11 at each slack of every leg's kernel table, by the chosen method."""
     if method == "enumerate":
-        return _mu11_enumerated(tables, j, sizes_x, sizes_y)
+        return _mu11_enumerated(tables, sizes_x, sizes_y)
     if method != "factorized":
         raise ValidationError(f"unknown mu11 method {method!r}")
     # Each leg's factor is R**2 plus the three coincidence corrections, so
     # it is exactly 1 when R = S = D = 1 and exactly 0 when all three are 0;
     # the four pattern weights need not sum to 1 in floating point.
-    product = 1.0
+    factors = []
     for table, nx, ny in zip(tables, sizes_x, sizes_y):
         px, py = 1.0 / nx, 1.0 / ny
-        r = table.both[j]
-        r2 = r * r
-        product *= (r2 + px * (1.0 - py) * (table.delay_only[j] - r2)
-                    + (1.0 - px) * py * (table.service_only[j] - r2) + px * py * (r - r2))
-    return product
+        factors.append([r * r + px * (1.0 - py) * (d - r * r) + (1.0 - px) * py * (s - r * r)
+                        + px * py * (r - r * r)
+                        for r, s, d in zip(table.both, table.service_only, table.delay_only)])
+    return [math.prod(column) for column in zip(*factors)]
 
 
 def _tables(
     scenario: Scenario, columns: Sequence[tuple[float, ...]], mode: KernelMode,
-    sizes_x: Sequence[int] | None, sizes_y: Sequence[int] | None,
-) -> tuple[list[_KernelTable], tuple[int, ...], tuple[int, ...]]:
-    """Each leg's kernel table over its ascending column of slacks, and the
-    sizes mu11 weighs them by. The scenario is validated once, at each
-    column's first slack, the only one validation can reject; equal legs over
-    equal columns share one ``leg_kernels`` table."""
+    method: Mu11Method, sizes_x: Sequence[int] | None, sizes_y: Sequence[int] | None,
+) -> tuple[list[_KernelTable], list[float]]:
+    """Each leg's kernel table over its ascending column of slacks, and mu11
+    at each slack. The scenario is validated once, at each column's first
+    slack, the only one validation can reject; equal legs over equal columns
+    share one ``leg_kernels`` table."""
     sizes_x, sizes_y = _sizes_for(scenario, sizes_x, sizes_y)
     validate_scenario(replace(scenario, plan=CirculationPlan(tuple(c[0] for c in columns))))
     keys = list(zip(scenario.legs, columns))
     shared = {key: leg_kernels(*key, mode, index=keys.index(key)) for key in dict.fromkeys(keys)}
-    return [shared[key] for key in keys], sizes_x, sizes_y
+    tables = [shared[key] for key in keys]
+    return tables, _mu11(tables, sizes_x, sizes_y, method)
 
 
 def _report(
-    tables: Sequence[_KernelTable], j: int, sizes_x: Sequence[int], sizes_y: Sequence[int],
-    r: int, mode: KernelMode, method: Mu11Method, per_leg_h: tuple[LegKernels, ...] = (),
+    tables: Sequence[_KernelTable], mu11: float, j: int, r: int, mode: KernelMode,
+    method: Mu11Method, per_leg_h: tuple[LegKernels, ...] = (),
 ) -> VarianceReport:
-    """mu11, theta and the variance formula at the j-th slack of every table."""
-    mu11 = _mu11(tables, j, sizes_x, sizes_y, method)
+    """theta and the variance formula at the j-th slack of every table."""
     theta = plan_reliability([table.both[j] for table in tables])
     return VarianceReport(theta, mu11, r, _variance(theta, mu11, r), mode, method, per_leg_h)
 
@@ -339,8 +321,7 @@ def _variance(theta: float, mu11: float, r: int) -> float:
         raise ValidationError(f"theta {theta!r}")
     if not 0.0 <= mu11 <= 1.0:
         raise ValidationError(f"mu11 {mu11!r}")
-    if r < 1:
-        raise ValidationError(f"realization count {r!r} must be >= 1")
+    _check_realizations(r)
     variance = theta / r + (r - 1) / r * mu11 - theta * theta
     if variance < 0.0:
         if variance < -NEGATIVE_VARIANCE_TOLERANCE:
@@ -371,8 +352,8 @@ def variance_pipeline(
 ) -> VarianceReport:
     """End-to-end variance: kernels, theta, mu11, then the variance formula."""
     columns = [(t,) for t in scenario.plan.intervals]
-    tables, sizes_x, sizes_y = _tables(scenario, columns, mode, sizes_x, sizes_y)
-    return _report(tables, 0, sizes_x, sizes_y, r, mode, method,
+    tables, mu11 = _tables(scenario, columns, mode, method, sizes_x, sizes_y)
+    return _report(tables, mu11[0], 0, r, mode, method,
                    per_leg_h=tuple(table.at(0) for table in tables))
 
 
@@ -384,7 +365,6 @@ def _sweep(
     ``variance_pipeline``'s with every leg's slack at t, less ``per_leg_h``.
     Every leg's column is the whole grid, so a point costs only theta, mu11
     and the variance formula."""
-    tables, sizes_x, sizes_y = _tables(
-        scenario, [grid] * scenario.plan.k, mode, sizes_x, sizes_y)
+    tables, mu11 = _tables(scenario, [grid] * scenario.plan.k, mode, method, sizes_x, sizes_y)
     for j, t in enumerate(grid):
-        yield t, _report(tables, j, sizes_x, sizes_y, r, mode, method)
+        yield t, _report(tables, mu11[j], j, r, mode, method)

@@ -57,6 +57,13 @@ class TestLoadScenario:
             load_scenario(TWO_LEG, str(csv_path))
         assert info.value.leg == 1
 
+    def test_csv_with_one_family_names_the_empty_one(self, tmp_path):
+        csv_path = tmp_path / "obs.csv"
+        csv_path.write_text("leg,kind,value\n1,delay,2.5\n")
+        with pytest.raises(ValidationError, match="^leg 1: empty service sample$") as info:
+            load_scenario(FIVE_LEG, str(csv_path))
+        assert info.value.leg == 0
+
     def test_csv_leg_outside_plan(self, tmp_path):
         csv_path = tmp_path / "obs.csv"
         csv_path.write_text("leg,kind,value\n9,delay,1.0\n")

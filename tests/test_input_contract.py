@@ -1,18 +1,26 @@
-"""Input contract under structural damage to valid input files.
+"""Input contract under structural damage to valid input files, and for
+bad values passed to the library directly.
 
 A valid scenario JSON and samples CSV are mutated (keys dropped, values
 replaced by ones of the wrong JSON type, files truncated) and run through
 ``variance`` and ``estimate``. Whatever the damage, the CLI must end with a
 documented exit code (0 success, 2 bad input, 3 missing data, 4 numeric
 failure), print a ``circrel:`` message when it fails, and never raise.
+
+Every public entry point of the library must refuse a bad rate, sample
+value, sample family, slack or sample size with a ValidationError that
+names the bad value, and, where a scenario is involved, its leg.
 """
 
 import contextlib
 import copy
 import io
 import json
+import math
 import tempfile
+from dataclasses import dataclass
 from functools import reduce
+from itertools import product
 from operator import getitem
 from pathlib import Path
 
@@ -20,6 +28,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circrel import (
+    CirculationPlan,
+    ExponentialLegModel,
+    Leg,
+    LegSamples,
+    ResamplingConfig,
+    Scenario,
+    ValidationError,
+    enumerate_exact,
+    leg_kernels,
+    leg_reliability_exponential,
+    leg_reliability_plugin,
+    leg_reliability_quadrature,
+    resample_estimate,
+    simulate_pipeline_variance,
+    variance_pipeline,
+)
 from circrel.cli import main
 
 TWO_LEG = Path(__file__).resolve().parents[1] / "scenarios" / "two_leg_samples.json"
@@ -178,3 +203,86 @@ def test_byte_order_mark_reads_as_plain_utf8(tmp_path):
     plain, marked = runs
     assert all(code == 0 for code, _, _ in plain), plain
     assert marked == plain
+
+
+# Input kind and bad value; an empty sample family is the value None.
+BAD_VALUES = {
+    "rate-zero": ("rate", 0.0), "rate-negative": ("rate", -1.0),
+    "rate-nan": ("rate", math.nan), "rate-inf": ("rate", math.inf),
+    "sample-nan": ("sample", math.nan), "sample-negative": ("sample", -1.0),
+    "sample-empty": ("sample", None),
+    "slack-negative": ("slack", -1.0), "slack-nan": ("slack", math.nan),
+    "slack-inf": ("slack", math.inf),
+    "size-zero": ("size", 0), "size-fraction": ("size", 2.5),
+}
+
+
+@dataclass(frozen=True)
+class Inputs:
+    """Valid inputs with one bad value in place: the bad leg is leg 2 of the
+    scenario and carries both samples and rates."""
+
+    rates: ExponentialLegModel
+    samples: LegSamples
+    t: float
+    sizes: tuple
+
+    @classmethod
+    def with_bad(cls, kind, value):
+        rate = value if kind == "rate" else 0.05
+        delays = () if value is None else (value if kind == "sample" else 3.0, 7.0)
+        return cls(ExponentialLegModel(rate, 0.02), LegSamples(delays, (10.0, 20.0)),
+                   value if kind == "slack" else 25.0, (3, value if kind == "size" else 3))
+
+    @property
+    def scenario(self):
+        good = Leg(LegSamples((1.0, 2.0), (3.0,)), ExponentialLegModel(0.1, 0.2))
+        return Scenario(CirculationPlan((30.0, self.t)),
+                        (good, Leg(self.samples, self.rates)))
+
+
+# Entry point: (input kinds it reads, whether it takes a scenario, call).
+ENTRY_POINTS = {
+    "leg_reliability_exponential": (
+        {"rate", "slack"}, False, lambda c: leg_reliability_exponential(c.rates, c.t)),
+    "leg_reliability_quadrature": (
+        {"rate", "slack"}, False, lambda c: leg_reliability_quadrature(c.rates, c.t)),
+    "leg_reliability_plugin": (
+        {"sample", "slack"}, False, lambda c: leg_reliability_plugin(c.samples, c.t)),
+    **{f"leg_kernels-{mode}-rate-leg": (
+        {"rate", "slack"}, False,
+        lambda c, mode=mode: leg_kernels(Leg(rates=c.rates), c.t, mode))
+       for mode in ("closed_form", "quadrature", "auto")},
+    **{f"leg_kernels-{mode}-sample-leg": (
+        {"sample", "slack"}, False,
+        lambda c, mode=mode: leg_kernels(Leg(samples=c.samples), c.t, mode))
+       for mode in ("plugin", "quadrature", "auto")},
+    "variance_pipeline": (
+        {"rate", "sample", "slack", "size"}, True,
+        lambda c: variance_pipeline(c.scenario, 3, mode="closed_form",
+                                    sizes_x=c.sizes, sizes_y=(3, 3))),
+    "resample_estimate": (
+        {"rate", "sample", "slack"}, True,
+        lambda c: resample_estimate(c.scenario, ResamplingConfig(r=3))),
+    "enumerate_exact": (
+        {"rate", "sample", "slack"}, True,
+        lambda c: enumerate_exact(c.scenario, ResamplingConfig(r=1))),
+    "simulate_pipeline_variance": (
+        {"rate", "sample", "slack", "size"}, True,
+        lambda c: simulate_pipeline_variance(c.scenario, c.sizes, (3, 3), r=3,
+                                             replications=2, seed=0)),
+}
+
+
+@pytest.mark.parametrize("entry, bad", [
+    (entry, bad) for entry, bad in product(ENTRY_POINTS, BAD_VALUES)
+    if BAD_VALUES[bad][0] in ENTRY_POINTS[entry][0]
+])
+def test_every_entry_point_refuses_each_bad_value(entry, bad):
+    kind, value = BAD_VALUES[bad]
+    _, takes_scenario, call = ENTRY_POINTS[entry]
+    with pytest.raises(ValidationError) as info:
+        call(Inputs.with_bad(kind, value))
+    assert ("empty" if value is None else repr(value)) in str(info.value)
+    if takes_scenario:
+        assert info.value.leg == 1
