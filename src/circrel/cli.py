@@ -5,7 +5,7 @@ Commands:
 * ``estimate`` -- resampling estimate of the plan success probability
 * ``variance`` -- analytic variance of that estimator, with per-leg kernels
 * ``sweep``    -- variance across a slack-time grid, as plot-ready CSV
-* ``verify``   -- run a self-check suite (exact / kernels / montecarlo)
+* ``verify``   -- run a self-check suite (``verify.SUITES``)
 
 Scenario files are JSON documents::
 
@@ -53,8 +53,8 @@ from .plan import (
     validate_scenario,
 )
 from .resampler import ResamplingConfig, resample_estimate
-from .variance import VarianceReport, _sweep, variance_pipeline
-from .verify import run_suite
+from .variance import KERNEL_MODES, MU11_METHODS, VarianceReport, _sweep, variance_pipeline
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -68,7 +68,8 @@ MAX_GRID_POINTS = 1_000_000
 
 
 def _number(value, where: str) -> float:
-    """A JSON value read as a float; booleans and non-numbers are parse errors."""
+    """A JSON value read as float() reads it, so a numeric string such as "140"
+    or "nan" counts too; booleans and values float() refuses are parse errors."""
     if not isinstance(value, bool):
         try:
             return float(value)
@@ -345,17 +346,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     for command in (variance, sweep):
         command.add_argument("--resamples", "-r", type=int, default=50)
-        command.add_argument(
-            "--mode", choices=["closed_form", "plugin", "quadrature"], default="closed_form"
-        )
-        command.add_argument("--method", choices=["factorized", "enumerate"], default="factorized")
+        command.add_argument("--mode", choices=KERNEL_MODES, default="closed_form")
+        command.add_argument("--method", choices=MU11_METHODS, default="factorized")
         command.add_argument(
             "--sample-size", type=int, default=None,
             help="per-leg sample size when legs carry rates instead of samples",
         )
 
     verify = sub.add_parser("verify", help="run a self-check suite")
-    verify.add_argument("--suite", choices=["exact", "kernels", "montecarlo"], required=True)
+    verify.add_argument("--suite", choices=SUITES, required=True)
     verify.add_argument("--seed", type=int, default=None)
     verify.add_argument("--replications", type=int, default=20000)
     verify.set_defaults(func=_cmd_verify)

@@ -22,9 +22,10 @@ which this module evaluates three ways:
 
 Sample legs use one fit rule everywhere: a delay/service pair fits when the
 floating-point sum satisfies x + y <= t, the resampler's own test, so a tie
-x + y = t fits. ``_fit_counts`` is the only place it is written; every
-sample-leg kernel is a ratio of the integer counts it returns, for one slack
-or a whole grid of slacks.
+x + y = t fits. ``_fit_counts`` writes it for the kernels: every sample-leg
+kernel is a ratio of the integer counts it returns, for one slack or a whole
+grid of slacks. ``resampler._success_counts`` writes the same test over its
+arrays of draws, and ROADMAP item 19 merges the two.
 
 Supports are nonnegative throughout: F(u) = G(u) = 0 for u < 0, so every
 integral truncates to [0, t].
@@ -229,7 +230,9 @@ def _fit_counts(delays, services, ts: Sequence[float]) -> tuple[list[int], list[
     the delays x with fl(x + services[j]) <= t and d_i the services y with
     fl(delays[i] + y) <= t.
 
-    The only place the sample-leg fit rule is written. Values are converted
+    The kernels' copy of the sample-leg fit rule; ``resampler._success_counts``
+    writes the same test over its draws, and ROADMAP item 19 merges the two,
+    while the oracles write it again as their own check. Values are converted
     with float() first, so integers above 2**53 count as their doubles.
     fl(x + y) is monotone in x and in y, so the delays that fit a service are
     a prefix of the sorted delays and the services that fit a delay a prefix

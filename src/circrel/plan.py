@@ -78,13 +78,21 @@ class Scenario:
     legs: tuple[Leg, ...]
 
 
+def _finite(x: float) -> bool:
+    """Whether x is finite; a number float() cannot hold, such as 10**400, is not."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _check_slack(t: float, noun: str = "slack time", leg: int | None = None) -> None:
-    if not math.isfinite(t) or t < 0:
+    if not _finite(t) or t < 0:
         raise ValidationError(f"{noun} {t!r}", leg=leg)
 
 
 def _check_rate(rate: float, noun: str = "rate", leg: int | None = None) -> None:
-    if not math.isfinite(rate) or rate <= 0:
+    if not _finite(rate) or rate <= 0:
         raise ValidationError(f"{noun} {rate!r}", leg=leg)
 
 
@@ -93,14 +101,14 @@ def _check_samples(samples: LegSamples, leg: int | None = None) -> None:
         if len(values) == 0:
             raise ValidationError(f"empty {kind} sample", leg=leg)
         for v in values:
-            if not math.isfinite(v) or v < 0:
+            if not _finite(v) or v < 0:
                 raise ValidationError(f"{kind} sample value {v!r}", leg=leg)
 
 
 def _whole_sizes(sizes: Sequence[int], leg: int | None = None) -> tuple[int, ...]:
-    """sizes as ints, each a whole number >= 1, as NaN and inf are not."""
+    """sizes as ints, each a whole number >= 1, as NaN, inf and 10**400 are not."""
     fault = (">= 1" if any(n < 1 for n in sizes)
-             else "integers" if any(n % 1 for n in sizes) else None)
+             else "integers" if any(not _finite(n) or n % 1 for n in sizes) else None)
     if fault:
         raise ValidationError(f"sample sizes ({', '.join(map(str, sizes))}) must be {fault}",
                               leg=leg)
@@ -120,6 +128,8 @@ def _leg_sizes(sizes_x: Sequence[int], sizes_y: Sequence[int],
 def _check_realizations(r: int) -> None:
     if r < 1:
         raise ValidationError(f"realization count {r!r} must be >= 1")
+    if not _finite(r):
+        raise ValidationError(f"realization count {r!r} must be finite")
 
 
 def validate_scenario(raw: Scenario) -> Scenario:

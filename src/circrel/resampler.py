@@ -57,9 +57,9 @@ class ResamplingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_realizations(self.r)
         if self.r >= 2**63:  # realization indices are int64
             raise ValidationError(f"realization count {self.r!r} must be below 2**63")
+        _check_realizations(self.r)
         if not 0 <= self.seed < 2**_SEED_BITS:
             raise ValidationError(f"seed {self.seed!r} must fit in 64 bits")
 

@@ -41,9 +41,9 @@ coincide, are confluent nodes there and need no fallback, so no evaluation
 is flagged ``near_singular``. Quadrature mode integrates the exponential
 laws directly and stays the independent cross-check.
 
-For sample legs, in plug-in mode and in quadrature mode on legs without
-rates, every kernel is a ratio of integer pair counts under the resampler's
-fit rule x + y <= t: with c_j the delays that fit service j and d_i the
+For sample legs, in plug-in mode and in every mode on legs without rates,
+every kernel is a ratio of integer pair counts under the resampler's fit
+rule x + y <= t: with c_j the delays that fit service j and d_i the
 services that fit delay i,
 
     R = sum(c) / (n_x n_y),  E[F(t - Y)**2] = sum(c**2) / (n_x**2 n_y),
@@ -62,7 +62,7 @@ import math
 from dataclasses import dataclass, replace
 from numbers import Real
 from operator import getitem
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .distributions import (
     _fit_counts,
@@ -76,8 +76,8 @@ from .errors import EnumerationTooLarge, NegativeVariance, ValidationError
 from .plan import (CirculationPlan, Leg, Scenario, _check_realizations, _leg_sizes, _whole_sizes,
                    plan_reliability, validate_scenario)
 
-KernelMode = Literal["closed_form", "quadrature", "plugin", "auto"]
-Mu11Method = Literal["factorized", "enumerate"]
+KERNEL_MODES = ("closed_form", "plugin", "quadrature")  # in the order the CLI lists them
+MU11_METHODS = ("factorized", "enumerate")
 
 ENUMERATE_MAX_LEGS = 12
 NEGATIVE_VARIANCE_TOLERANCE = 1e-12
@@ -150,33 +150,27 @@ def omega_probability(omega: Iterable[int], sizes: Sequence[int]) -> float:
                       for i, n in enumerate(_whole_sizes(sizes))), start=1.0)
 
 
-def _resolve_mode(leg: Leg, mode: KernelMode, index: int) -> str:
-    """The kernel path that runs for the leg: a leg without rates is counted
-    as plug-in mode counts it, and auto takes the closed form where it can."""
-    if mode not in ("closed_form", "quadrature", "plugin", "auto"):
+def _resolve_mode(leg: Leg, mode: str, index: int | None = None) -> str:
+    """The kernel path that runs for the leg, whose errors name it if ``index``
+    is given: in every mode, a leg without rates is counted as plug-in counts it."""
+    if mode not in KERNEL_MODES:
         raise ValidationError(f"unknown kernel mode {mode!r}")
-    if leg.rates is None:
-        if mode == "closed_form":
-            raise ValidationError("closed_form kernels need exponential rates", leg=index)
-        mode = "plugin"
-    elif mode == "auto":
-        mode = "closed_form"
-    if mode == "plugin" and leg.samples is None:
+    resolved = "plugin" if leg.rates is None else mode
+    if resolved == "plugin" and leg.samples is None:
         raise ValidationError("plugin kernels need samples", leg=index)
-    return mode
+    return resolved
 
 
-def leg_kernels(leg: Leg, t: float | Sequence[float], mode: KernelMode,
-                index: int = 0) -> LegKernels | _KernelTable:
+def leg_kernels(leg: Leg, t: float | Sequence[float], mode: str) -> LegKernels | _KernelTable:
     """Evaluate the coincidence-case kernels of one leg at slack t.
 
     t is one slack, giving its ``LegKernels``, or a sequence of slacks,
     giving one table of R, S and D over all of them. The mode picks how R
     and the two one-sided kernels are evaluated; the neither-coincides
     kernel is always R**2, reported with R's method: the path that ran, so
-    ``plugin`` for a leg without rates in quadrature mode.
+    ``plugin`` for a leg without rates in any mode.
     """
-    resolved = _resolve_mode(leg, mode, index)
+    resolved = _resolve_mode(leg, mode)
     single = isinstance(t, Real)
     ts = (t,) if single else t
     if resolved == "closed_form":
@@ -254,12 +248,12 @@ def _mu11_enumerated(tables: Sequence[_KernelTable], sizes_x: Sequence[int],
 
 
 def _mu11(tables: Sequence[_KernelTable], sizes_x: Sequence[int], sizes_y: Sequence[int],
-          method: Mu11Method) -> list[float]:
+          method: str) -> list[float]:
     """mu11 at each slack of every leg's kernel table, by the chosen method."""
+    if method not in MU11_METHODS:
+        raise ValidationError(f"unknown mu11 method {method!r}")
     if method == "enumerate":
         return _mu11_enumerated(tables, sizes_x, sizes_y)
-    if method != "factorized":
-        raise ValidationError(f"unknown mu11 method {method!r}")
     # Each leg's factor is R**2 plus the three coincidence corrections, so
     # it is exactly 1 when R = S = D = 1 and exactly 0 when all three are 0;
     # the four pattern weights need not sum to 1 in floating point.
@@ -273,24 +267,26 @@ def _mu11(tables: Sequence[_KernelTable], sizes_x: Sequence[int], sizes_y: Seque
 
 
 def _tables(
-    scenario: Scenario, columns: Sequence[tuple[float, ...]], mode: KernelMode,
-    method: Mu11Method, sizes_x: Sequence[int] | None, sizes_y: Sequence[int] | None,
+    scenario: Scenario, columns: Sequence[tuple[float, ...]], mode: str,
+    method: str, sizes_x: Sequence[int] | None, sizes_y: Sequence[int] | None,
 ) -> tuple[list[_KernelTable], list[float]]:
     """Each leg's kernel table over its ascending column of slacks, and mu11
-    at each slack. The scenario is validated once, at each column's first
-    slack, the only one validation can reject; equal legs over equal columns
-    share one ``leg_kernels`` table."""
+    at each slack. The scenario is validated at each column's first slack,
+    the only one validation can reject, and each leg's kernel path before
+    any table is built; equal legs over equal columns share one table."""
     sizes_x, sizes_y = _sizes_for(scenario, sizes_x, sizes_y)
     validate_scenario(replace(scenario, plan=CirculationPlan(tuple(c[0] for c in columns))))
+    for i, leg in enumerate(scenario.legs):
+        _resolve_mode(leg, mode, i)
     keys = list(zip(scenario.legs, columns))
-    shared = {key: leg_kernels(*key, mode, index=keys.index(key)) for key in dict.fromkeys(keys)}
+    shared = {key: leg_kernels(*key, mode) for key in dict.fromkeys(keys)}
     tables = [shared[key] for key in keys]
     return tables, _mu11(tables, sizes_x, sizes_y, method)
 
 
 def _report(
-    tables: Sequence[_KernelTable], mu11: float, j: int, r: int, mode: KernelMode,
-    method: Mu11Method, per_leg_h: tuple[LegKernels, ...] = (),
+    tables: Sequence[_KernelTable], mu11: float, j: int, r: int, mode: str,
+    method: str, per_leg_h: tuple[LegKernels, ...] = (),
 ) -> VarianceReport:
     """theta and the variance formula at the j-th slack of every table."""
     theta = plan_reliability([table.both[j] for table in tables])
@@ -302,8 +298,8 @@ def mixed_moment_mu11(
     sizes_x: Sequence[int] | None = None,
     sizes_y: Sequence[int] | None = None,
     *,
-    mode: KernelMode = "auto",
-    method: Mu11Method = "factorized",
+    mode: str = "closed_form",
+    method: str = "factorized",
 ) -> float:
     """Mixed moment of the fit indicator over two distinct realizations.
 
@@ -345,8 +341,8 @@ def variance_pipeline(
     scenario: Scenario,
     r: int,
     *,
-    mode: KernelMode = "auto",
-    method: Mu11Method = "factorized",
+    mode: str = "closed_form",
+    method: str = "factorized",
     sizes_x: Sequence[int] | None = None,
     sizes_y: Sequence[int] | None = None,
 ) -> VarianceReport:
@@ -358,8 +354,8 @@ def variance_pipeline(
 
 
 def _sweep(
-    scenario: Scenario, grid: tuple[float, ...], r: int, mode: KernelMode,
-    method: Mu11Method, sizes_x: Sequence[int] | None, sizes_y: Sequence[int] | None,
+    scenario: Scenario, grid: tuple[float, ...], r: int, mode: str,
+    method: str, sizes_x: Sequence[int] | None, sizes_y: Sequence[int] | None,
 ) -> Iterator[tuple[float, VarianceReport]]:
     """(t, report) for each t of an ascending grid, the report bit for bit
     ``variance_pipeline``'s with every leg's slack at t, less ``per_leg_h``.

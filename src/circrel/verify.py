@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import ValidationError
 from .oracles import enumerate_exact, simulate_pipeline_variance
 from .plan import (
     CirculationPlan,
@@ -28,6 +29,8 @@ from .plan import (
 )
 from .resampler import ResamplingConfig
 from .variance import leg_kernels, variance_pipeline
+
+SUITES = ("exact", "kernels", "montecarlo")  # in the order the CLI lists them
 
 
 @dataclass(frozen=True)
@@ -153,9 +156,7 @@ def montecarlo_suite(seed: int, replications: int = 20000) -> list[CheckResult]:
     )
     sizes = [5, 5]
     r = 10
-    analytic = variance_pipeline(
-        scenario, r=r, mode="closed_form", sizes_x=sizes, sizes_y=sizes
-    )
+    analytic = variance_pipeline(scenario, r=r, sizes_x=sizes, sizes_y=sizes)
     mc = simulate_pipeline_variance(scenario, sizes, sizes, r, replications, seed)
     se_mean = math.sqrt(mc.empirical_variance / replications)
     return [
@@ -173,7 +174,9 @@ def montecarlo_suite(seed: int, replications: int = 20000) -> list[CheckResult]:
 
 
 def run_suite(name: str, seed: int, replications: int = 20000) -> list[CheckResult]:
+    if name not in SUITES:
+        raise ValidationError(f"unknown suite {name!r}")
     ResamplingConfig(r=1, seed=seed)  # every suite rejects a seed outside 64 bits
     if name == "montecarlo":
         return montecarlo_suite(seed, replications)
-    return {"exact": exact_suite, "kernels": kernels_suite}[name]()
+    return exact_suite() if name == "exact" else kernels_suite()

@@ -274,6 +274,10 @@ class TestSweepCommand:
     @pytest.mark.parametrize("flags, message", [
         (["--sample-size", "20", "-r", "0"], "realization count 0 must be >= 1"),
         ([], "leg 1: sample sizes required when a leg carries no samples"),
+        # Beyond the double range, as inf is: bad input, not an OverflowError.
+        (["--sample-size", "20", "-r", str(10**400)],
+         f"realization count {10**400} must be finite"),
+        (["--sample-size", str(10**400)], f"leg 1: sample sizes ({10**400}, {10**400}) must be integers"),
     ])
     def test_bad_first_point_writes_no_header(self, flags, message, capsys):
         # The first point runs the variance command's checks before any output.

@@ -114,14 +114,13 @@ class TestQuadratureKernel:
         with pytest.raises(ValidationError, match=r"^slack time -1\.0$"):
             leg_reliability_quadrature(ExponentialLegModel(0.1, 0.2), -1.0)
 
-    def test_empirical_pair_equals_plugin(self):
-        # On a leg without rates, quadrature mode integrates one empirical law
+    @pytest.mark.parametrize("mode", ["closed_form", "quadrature"])
+    def test_empirical_pair_equals_plugin(self, mode):
+        # On a leg without rates, every mode integrates one empirical law
         # against another, a finite sum: the same counts as plug-in mode.
         leg = Leg(samples=LegSamples((1.0, 3.0, 7.0), (2.0, 2.0, 4.0)))
-        quad = leg_kernels(leg, 6.0, "quadrature")
-        plugin = leg_kernels(leg, 6.0, "plugin")
-        for case in ("both", "neither", "service_only", "delay_only"):
-            assert getattr(quad, case).value == getattr(plugin, case).value
+        assert leg_kernels(leg, 6.0, mode) == leg_kernels(leg, 6.0, "plugin")
+        assert leg_kernels(leg, 6.0, mode).both.method == "plugin"
 
 
 @st.composite
@@ -163,6 +162,15 @@ def test_fit_counts_match_the_pair_matrix(case):
     order = np.argsort(grid, kind="stable")
     assert distributions._pair_walk(xs, ys, ascending) == [
         np.asarray(column)[order].tolist() for column in expected]
+    # Every mode gives a leg without rates its kernels from these counts, bit
+    # for bit plug-in mode's.
+    leg = Leg(samples=LegSamples(delays, services))
+    nx, ny = len(delays), len(services)
+    plugin = leg_kernels(leg, grid, "plugin")
+    assert plugin.method == "plugin"
+    assert plugin.both == [s / (nx * ny) for s in expected[0]]
+    for mode in ("closed_form", "quadrature"):
+        assert leg_kernels(leg, grid, mode) == plugin
 
 
 class TestPluginKernel:

@@ -9,7 +9,8 @@ failure), print a ``circrel:`` message when it fails, and never raise.
 
 Every public entry point of the library must refuse a bad rate, sample
 value, sample family, slack or sample size with a ValidationError that
-names the bad value, and, where a scenario is involved, its leg.
+names the bad value, and, where a scenario is involved, its leg. A number
+beyond the double range, such as 10**400, is bad as inf is.
 """
 
 import contextlib
@@ -214,6 +215,8 @@ BAD_VALUES = {
     "slack-negative": ("slack", -1.0), "slack-nan": ("slack", math.nan),
     "slack-inf": ("slack", math.inf),
     "size-zero": ("size", 0), "size-fraction": ("size", 2.5),
+    "rate-huge": ("rate", 10**400), "sample-huge": ("sample", 10**400),
+    "slack-huge": ("slack", 10**400), "size-huge": ("size", 10**400),
 }
 
 
@@ -252,11 +255,11 @@ ENTRY_POINTS = {
     **{f"leg_kernels-{mode}-rate-leg": (
         {"rate", "slack"}, False,
         lambda c, mode=mode: leg_kernels(Leg(rates=c.rates), c.t, mode))
-       for mode in ("closed_form", "quadrature", "auto")},
+       for mode in ("closed_form", "quadrature")},
     **{f"leg_kernels-{mode}-sample-leg": (
         {"sample", "slack"}, False,
         lambda c, mode=mode: leg_kernels(Leg(samples=c.samples), c.t, mode))
-       for mode in ("plugin", "quadrature", "auto")},
+       for mode in ("closed_form", "plugin", "quadrature")},
     "variance_pipeline": (
         {"rate", "sample", "slack", "size"}, True,
         lambda c: variance_pipeline(c.scenario, 3, mode="closed_form",

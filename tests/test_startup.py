@@ -51,6 +51,8 @@ def _probe(argv):
     pytest.param(["variance", TWO_LEG, "--mode", "plugin"], 0, id="plugin-variance"),
     pytest.param(["sweep", TWO_LEG, "--mode", "plugin", "--t-grid", "25:40:15"], 0,
                  id="plugin-sweep"),
+    pytest.param(["variance", TWO_LEG], 0, id="closed-form-variance-samples"),
+    pytest.param(["sweep", TWO_LEG, "--t-grid", "25:40:15"], 0, id="closed-form-sweep-samples"),
     pytest.param(["variance", FIVE_LEG, "--sample-size", "20", "--mode", "quadrature"], 0,
                  id="quadrature-variance"),
     pytest.param(["sweep", FIVE_LEG, "--sample-size", "20", "--t-grid", "100:140:20",

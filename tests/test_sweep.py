@@ -88,7 +88,7 @@ def sweeps(draw):
     samples = draw(st.booleans())
     pool = draw(st.lists(sample_legs() if samples else rate_legs(), min_size=1, max_size=2))
     legs = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
-    modes = ["plugin", "quadrature"] if samples else ["closed_form", "quadrature"]
+    modes = ["closed_form", "plugin", "quadrature"] if samples else ["closed_form", "quadrature"]
     mode = draw(st.sampled_from(modes))
     if samples:
         start, step = draw(st.integers(0, 30)) / 10, draw(st.sampled_from([0.1, 0.3]))

@@ -110,6 +110,10 @@ def replay(argv) -> dict:
     }
 
 
+def _record(name: str) -> dict:
+    return json.loads((RECORDS / f"{name}.json").read_text(encoding="utf-8"))
+
+
 @pytest.fixture(scope="module")
 def scratch():
     with workspace():
@@ -118,7 +122,7 @@ def scratch():
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in RECORDS.glob("*.json")))
 def test_transcript(name, scratch):
-    record = json.loads((RECORDS / f"{name}.json").read_text(encoding="utf-8"))
+    record = _record(name)
     assert replay(record["argv"]) == record
 
 
@@ -128,6 +132,16 @@ def test_record_names_match_exit_codes():
         named = re.fullmatch(r"exit(\d+)_.+", path.stem)
         expected = int(named[1]) if named else 0
         assert json.loads(path.read_text(encoding="utf-8"))["exit"] == expected, path.stem
+
+
+def test_legs_without_rates_count_alike_in_every_mode():
+    # Closed form counts a leg without rates as plug-in and quadrature mode do.
+    assert (_record("sweep_samples_closed_form")["stdout"]
+            == _record("sweep_plugin")["stdout"])
+    sample_legs = [json.loads("".join(_record(name)["stdout"]))["per_leg_h"][1]
+                   for name in ("variance_mixed_closed_form", "variance_mixed_quadrature")]
+    assert sample_legs[0] == sample_legs[1]
+    assert sample_legs[0]["both"]["method"] == "plugin"
 
 
 def rewrite() -> None:

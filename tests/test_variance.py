@@ -23,6 +23,8 @@ from circrel import (
     variance_pipeline,
 )
 from circrel import distributions
+from circrel.variance import KernelEvaluation
+from circrel.verify import run_suite
 from tests.conftest import (
     REFERENCE_DELAY_RATE,
     REFERENCE_SERVICE_RATE,
@@ -72,7 +74,8 @@ class TestOmegaProbability:
         ([2.5], r"\(2\.5\) must be integers"),
         ([5, math.inf], r"\(5, inf\) must be integers"),
         ([math.nan], r"\(nan\) must be integers"),
-    ], ids=["zero", "fraction", "infinite", "nan"])
+        ([3, 10**400], rf"\(3, {10**400}\) must be integers"),
+    ], ids=["zero", "fraction", "infinite", "nan", "beyond-double"])
     def test_sizes_that_cannot_exist_rejected(self, sizes, fault):
         # No draw has these sizes, so no probability may come back for them.
         with pytest.raises(ValidationError, match=fault):
@@ -164,16 +167,35 @@ class TestKernels:
         assert len(calls) == 3
 
     def test_mode_requirements(self):
-        with pytest.raises(ValidationError):
+        # Only plug-in mode needs samples; every mode counts a leg without
+        # rates. A direct call names no leg, the pipeline the leg at fault.
+        with pytest.raises(ValidationError, match="^plugin kernels need samples$") as info:
             leg_kernels(REFERENCE_LEG, 10.0, "plugin")
-        with pytest.raises(ValidationError):
-            leg_kernels(Leg(samples=LegSamples((1.0,), (1.0,))), 10.0, "closed_form")
+        assert info.value.leg is None
+        leg = Leg(samples=LegSamples((1.0,), (1.0,)))
+        plugin = leg_kernels(leg, 10.0, "plugin")
+        assert leg_kernels(leg, 10.0, "closed_form") == plugin
+        assert plugin.both == KernelEvaluation(1.0, "plugin")
+        scenario = Scenario(CirculationPlan((10.0, 10.0)), (leg, REFERENCE_LEG))
+        with pytest.raises(ValidationError, match="^leg 2: plugin kernels need samples$") as info:
+            variance_pipeline(scenario, 5, mode="plugin", sizes_x=[1, 1], sizes_y=[1, 1])
+        assert info.value.leg == 1
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValidationError, match="unknown kernel mode 'plug-in'"):
-            leg_kernels(REFERENCE_LEG, 10.0, "plug-in")
-        with pytest.raises(ValidationError, match="unknown kernel mode 'closed-form'"):
-            variance_pipeline(two_point_scenario(), 10, mode="closed-form")
+    @pytest.mark.parametrize("call, message", [
+        (lambda: leg_kernels(REFERENCE_LEG, 10.0, "plug-in"), "unknown kernel mode 'plug-in'"),
+        (lambda: leg_kernels(REFERENCE_LEG, 10.0, "auto"), "unknown kernel mode 'auto'"),
+        (lambda: variance_pipeline(two_point_scenario(), 10, mode="closed-form"),
+         "unknown kernel mode 'closed-form'"),
+        (lambda: variance_pipeline(two_point_scenario(), 10, mode="auto"),
+         "unknown kernel mode 'auto'"),
+        (lambda: variance_pipeline(two_point_scenario(), 10, method="enumerated"),
+         "unknown mu11 method 'enumerated'"),
+        (lambda: run_suite("nope", 0), "unknown suite 'nope'"),
+    ], ids=["kernels", "kernels-auto", "pipeline", "pipeline-auto", "method", "suite"])
+    def test_unknown_mode_rejected(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{message}$") as info:
+            call()
+        assert info.value.leg is None
 
     @pytest.mark.parametrize("a", (1e-3, 0.02, 1.0, 50.0, 1e6, 1e12))
     @pytest.mark.parametrize("b", (1e-3, 0.02, 1.0, 50.0, 1e6, 1e12))
@@ -259,7 +281,8 @@ class TestMixedMoment:
         pytest.param(
             [ExponentialLegModel(0.05, 0.02), LegSamples((3.1, 0.0, 11.4), (14.0, 9.5)),
              ExponentialLegModel(0.1, 0.1)],
-            (140.0, 25.0, 30.0), ([20, 3, 1], [20, 2, 4]), "auto", id="rates-and-samples"),
+            (140.0, 25.0, 30.0), ([20, 3, 1], [20, 2, 4]), "closed_form",
+            id="rates-and-samples"),
     ])
     def test_methods_agree_on_plugin_tables(self, legs, intervals, sizes, mode):
         scenario = Scenario(
@@ -313,6 +336,10 @@ class TestEstimatorVariance:
             estimator_variance(0.5, -0.1, r=10)
         with pytest.raises(ValidationError):
             estimator_variance(0.5, 0.4, r=0)
+        # A count float() cannot hold is not finite, as inf and nan are not.
+        for r in (10**400, math.inf, math.nan):
+            with pytest.raises(ValidationError, match=rf"^realization count {r!r} must be finite$"):
+                estimator_variance(0.5, 0.4, r=r)
 
 
 class TestVariancePipeline:
