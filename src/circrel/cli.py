@@ -50,6 +50,7 @@ from .plan import (
     Leg,
     LegSamples,
     Scenario,
+    _check_count,
     validate_scenario,
 )
 from .resampler import ResamplingConfig, resample_estimate
@@ -241,9 +242,8 @@ def _cmd_estimate(args) -> int:
 
 def _sizes_from_args(args, scenario: Scenario):
     if args.sample_size is not None:
-        if args.sample_size < 1:
-            raise ValidationError(f"--sample-size {args.sample_size} must be >= 1")
-        return [args.sample_size] * scenario.plan.k, [args.sample_size] * scenario.plan.k
+        n = _check_count(args.sample_size, "--sample-size")
+        return [n] * scenario.plan.k, [n] * scenario.plan.k
     return None, None
 
 

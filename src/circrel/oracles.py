@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import EnumerationTooLarge, ValidationError
-from .plan import Leg, Scenario, _leg_sizes, validate_scenario
-from .resampler import ResamplingConfig, _success_counts, realization_stream
+from .plan import Leg, Scenario, _check_count, _check_seed, _leg_sizes, validate_scenario
+from .resampler import ResamplingConfig, _realization_count, _success_counts, realization_stream
 
 if TYPE_CHECKING:
     import numpy as np
@@ -133,21 +133,19 @@ def enumerate_exact(
         if leg.samples is None:
             raise ValidationError("exact enumeration needs samples", leg=i)
     r = config.r
-    joint = None
+    # Before any leg, every realization succeeds with certainty.
+    joint = (np.arange(1 << r) == (1 << r) - 1).astype(float)
     term_count = 0
     for leg, t in zip(scenario.legs, scenario.plan.intervals):
         dist, cells = _leg_outcome_distribution(leg, t, r, samples_random)
         term_count += cells
-        if joint is None:
-            joint = dist
-        else:
-            combined = np.zeros_like(joint)
-            for c1, p1 in enumerate(joint):
-                if p1 == 0.0:
-                    continue
-                for c2, p2 in enumerate(dist):
-                    combined[c1 & c2] += p1 * p2
-            joint = combined
+        combined = np.zeros_like(joint)
+        for c1, p1 in enumerate(joint):
+            if p1 == 0.0:
+                continue
+            for c2, p2 in enumerate(dist):
+                combined[c1 & c2] += p1 * p2
+        joint = combined
     successes = np.array([bin(c).count("1") for c in range(1 << r)]) / r
     mean = float(joint @ successes)
     second = float(joint @ successes**2)
@@ -185,9 +183,8 @@ def simulate_pipeline_variance(
         if leg.rates is None:
             raise ValidationError("simulation needs exponential rates", leg=i)
     sizes_x, sizes_y = _leg_sizes(sizes_x, sizes_y, scenario.plan.k)
-    ResamplingConfig(r=r, seed=seed)  # rejects r < 1 and seeds outside 64 bits
-    if replications < 2:
-        raise ValidationError("need at least 2 replications for a variance")
+    r, seed = _realization_count(r), _check_seed(seed)
+    replications = _check_count(replications, "replication count", least=2)
     if replications > MAX_REPLICATIONS:
         raise ValidationError(f"{replications} replications exceed the cap of {MAX_REPLICATIONS}")
 
@@ -213,8 +210,7 @@ def simulate_pipeline_variance(
     variance = float(estimates.var(ddof=1))
     centered = estimates - mean
     m4 = float(np.mean(centered**4))
-    b_count = replications
-    se_sq = (m4 - (b_count - 3) / (b_count - 1) * variance**2) / b_count
+    se_sq = (m4 - (replications - 3) / (replications - 1) * variance**2) / replications
     return MonteCarloResult(
         mean_theta_star=mean,
         empirical_variance=variance,

@@ -13,9 +13,10 @@ Per-leg knowledge comes in two forms, and a leg may carry both:
 * exponential rates for the delay and service distributions.
 
 All types are plain immutable carriers. Each input rule is written once,
-here, in the helpers below, whose message starts with a noun the caller
-passes. ``validate_scenario`` applies them to a whole scenario and every
-other public entry point to the values it takes directly.
+here, in the helpers below, counts and seeds too (``_check_count``,
+``_check_seed``), and each message starts with a noun the caller passes.
+``validate_scenario`` applies them to a whole scenario and every other
+public entry point to the values it takes directly.
 """
 
 from __future__ import annotations
@@ -125,11 +126,20 @@ def _leg_sizes(sizes_x: Sequence[int], sizes_y: Sequence[int],
     return tuple(nx for nx, _ in pairs), tuple(ny for _, ny in pairs)
 
 
-def _check_realizations(r: int) -> None:
-    if r < 1:
-        raise ValidationError(f"realization count {r!r} must be >= 1")
-    if not _finite(r):
-        raise ValidationError(f"realization count {r!r} must be finite")
+def _check_count(n: int, noun: str, least: int = 1) -> int:
+    """n as an int: a count must be at least ``least``, finite and whole."""
+    fault = (f">= {least}" if n < least else "finite" if not _finite(n)
+             else "a whole number" if n % 1 else None)
+    if fault:
+        raise ValidationError(f"{noun} {n!r} must be {fault}")
+    return int(n)
+
+
+def _check_seed(seed: int) -> int:
+    """seed as an int: a seed must be a whole number in [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"seed {seed!r} must fit in 64 bits")
+    return _check_count(seed, "seed", least=0)
 
 
 def validate_scenario(raw: Scenario) -> Scenario:

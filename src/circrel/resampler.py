@@ -8,14 +8,14 @@ across the two sample families, and across realizations, so between any two
 realizations the probability that leg i re-extracts the same element of an
 n-element sample is exactly 1/n; the variance analytics rely on that.
 
-Reproducibility contract: realization l consumes randomness only from a
-counter-keyed stream derived from (seed, l), never from a shared sequential
-stream, so the report is byte-identical for a given seed however the
-realizations are grouped. The stream algorithm is Philox (numpy), keyed by
-the seed with the 256-bit counter starting at l * 2**128; within a
-realization the draws are one vectorized uniform-integer draw over the
-delay sample sizes, then one over the service sample sizes. This layout is
-a compatibility promise.
+Reproducibility contract: the seed is a whole number in [0, 2**64), and
+realization l consumes randomness only from a counter-keyed stream derived
+from (seed, l), never from a shared sequential stream, so the report is
+byte-identical for a given seed however the realizations are grouped. The
+stream algorithm is Philox (numpy), keyed by the seed with the 256-bit
+counter starting at l * 2**128; within a realization the draws are one
+vectorized uniform-integer draw over the delay sample sizes, then one over
+the service sample sizes. This layout is a compatibility promise.
 
 Realizations are evaluated in vectorized chunks: Philox4x64-10 runs in
 numpy over a block of (key, realization) rows and numpy's 32-bit Lemire
@@ -31,12 +31,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import MissingSamples, ValidationError
-from .plan import Scenario, _check_realizations, validate_scenario
+from .plan import Scenario, _check_count, _check_seed, validate_scenario
 
 if TYPE_CHECKING:
     import numpy as np
 
-_SEED_BITS = 64
 _MASK64 = (1 << 64) - 1
 _LOW32 = 0xFFFFFFFF  # a uint64 array & this int stays uint64
 
@@ -51,17 +50,21 @@ _CHUNK_ROWS = 4096
 
 @dataclass(frozen=True)
 class ResamplingConfig:
-    """Realization count and the 64-bit seed the whole run derives from."""
+    """Realization count and the 64-bit seed the whole run derives from, as ints."""
 
     r: int
     seed: int = 0
 
     def __post_init__(self):
-        if self.r >= 2**63:  # realization indices are int64
-            raise ValidationError(f"realization count {self.r!r} must be below 2**63")
-        _check_realizations(self.r)
-        if not 0 <= self.seed < 2**_SEED_BITS:
-            raise ValidationError(f"seed {self.seed!r} must fit in 64 bits")
+        object.__setattr__(self, "r", _realization_count(self.r))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
+
+
+def _realization_count(r: int) -> int:
+    """r as an int: a count that the int64 realization indices can hold."""
+    if r >= 2**63:
+        raise ValidationError(f"realization count {r!r} must be below 2**63")
+    return _check_count(r, "realization count")
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,7 @@ def _draw_indices(
     drawn = [c for c, n in enumerate(sizes) if n > 1]
     if max(sizes) > 2**32:
         replay = np.arange(rows)
-    elif drawn:
+    else:
         n = np.array([sizes[c] for c in drawn], dtype=np.uint64)
         threshold = np.array([(2**32 - sizes[c]) % sizes[c] for c in drawn], dtype=np.uint64)
         words = _philox_words(keys, realizations, -(-len(drawn) // 8))
@@ -148,8 +151,6 @@ def _draw_indices(
         scaled = halves[:, : len(drawn)] * n
         indices[:, drawn] = scaled >> 32
         replay = np.flatnonzero(((scaled & _LOW32) < threshold).any(axis=1))
-    else:
-        replay = ()
     for j in replay:
         stream = realization_stream(int(keys[j]), int(realizations[j]))
         indices[j, :k_x] = stream.integers(0, sizes_x)

@@ -73,7 +73,7 @@ from .distributions import (
     leg_reliability_quadrature,
 )
 from .errors import EnumerationTooLarge, NegativeVariance, ValidationError
-from .plan import (CirculationPlan, Leg, Scenario, _check_realizations, _leg_sizes, _whole_sizes,
+from .plan import (CirculationPlan, Leg, Scenario, _check_count, _leg_sizes, _whole_sizes,
                    plan_reliability, validate_scenario)
 
 KERNEL_MODES = ("closed_form", "plugin", "quadrature")  # in the order the CLI lists them
@@ -142,10 +142,9 @@ class VarianceReport:
 def omega_probability(omega: Iterable[int], sizes: Sequence[int]) -> float:
     """Probability that exactly the legs in omega re-extract the same element."""
     members = frozenset(omega)
-    k = len(sizes)
     for i in members:
-        if not 0 <= i < k:
-            raise ValidationError(f"leg index {i} outside 0..{k - 1}")
+        if _check_count(i, "leg index", least=0) >= len(sizes):
+            raise ValidationError(f"leg index {i!r} outside 0..{len(sizes) - 1}")
     return math.prod((1.0 / n if i in members else 1.0 - 1.0 / n
                       for i, n in enumerate(_whole_sizes(sizes))), start=1.0)
 
@@ -317,7 +316,7 @@ def _variance(theta: float, mu11: float, r: int) -> float:
         raise ValidationError(f"theta {theta!r}")
     if not 0.0 <= mu11 <= 1.0:
         raise ValidationError(f"mu11 {mu11!r}")
-    _check_realizations(r)
+    _check_count(r, "realization count")
     variance = theta / r + (r - 1) / r * mu11 - theta * theta
     if variance < 0.0:
         if variance < -NEGATIVE_VARIANCE_TOLERANCE:

@@ -20,13 +20,8 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .oracles import enumerate_exact, simulate_pipeline_variance
-from .plan import (
-    CirculationPlan,
-    ExponentialLegModel,
-    Leg,
-    LegSamples,
-    Scenario,
-)
+from .plan import (CirculationPlan, ExponentialLegModel, Leg, LegSamples, Scenario,
+                   _check_seed)
 from .resampler import ResamplingConfig
 from .variance import leg_kernels, variance_pipeline
 
@@ -92,15 +87,14 @@ def exact_suite() -> list[CheckResult]:
     for name, scenario in _tiny_fixtures():
         for r in (1, 2, 3):
             analytic = variance_pipeline(scenario, r=r, mode="plugin")
-            fixed = enumerate_exact(scenario, ResamplingConfig(r=r))
+            config = ResamplingConfig(r=r)
+            fixed = enumerate_exact(scenario, config)
             results.append(_check(
                 f"{name}/r={r}/unbiased_vs_plugin",
                 abs(fixed.expected_theta_star - analytic.theta),
                 tolerance,
             ))
-            random_draw = enumerate_exact(
-                scenario, ResamplingConfig(r=r), samples_random=True
-            )
+            random_draw = enumerate_exact(scenario, config, samples_random=True)
             results.append(_check(
                 f"{name}/r={r}/variance_vs_analytic",
                 abs(random_draw.exact_variance - analytic.variance),
@@ -176,7 +170,7 @@ def montecarlo_suite(seed: int, replications: int = 20000) -> list[CheckResult]:
 def run_suite(name: str, seed: int, replications: int = 20000) -> list[CheckResult]:
     if name not in SUITES:
         raise ValidationError(f"unknown suite {name!r}")
-    ResamplingConfig(r=1, seed=seed)  # every suite rejects a seed outside 64 bits
+    _check_seed(seed)  # every suite rejects a bad seed
     if name == "montecarlo":
         return montecarlo_suite(seed, replications)
     return exact_suite() if name == "exact" else kernels_suite()

@@ -8,9 +8,10 @@ documented exit code (0 success, 2 bad input, 3 missing data, 4 numeric
 failure), print a ``circrel:`` message when it fails, and never raise.
 
 Every public entry point of the library must refuse a bad rate, sample
-value, sample family, slack or sample size with a ValidationError that
-names the bad value, and, where a scenario is involved, its leg. A number
-beyond the double range, such as 10**400, is bad as inf is.
+value, sample family, slack, sample size, realization or replication count,
+seed or leg index with a ValidationError that names the bad value, and,
+where a scenario's leg is at fault, that leg. A number beyond the double
+range, such as 10**400, is bad as inf is.
 """
 
 import contextlib
@@ -38,15 +39,18 @@ from circrel import (
     Scenario,
     ValidationError,
     enumerate_exact,
+    estimator_variance,
     leg_kernels,
     leg_reliability_exponential,
     leg_reliability_plugin,
     leg_reliability_quadrature,
+    omega_probability,
     resample_estimate,
     simulate_pipeline_variance,
     variance_pipeline,
 )
 from circrel.cli import main
+from circrel.verify import run_suite
 
 TWO_LEG = Path(__file__).resolve().parents[1] / "scenarios" / "two_leg_samples.json"
 
@@ -217,25 +221,42 @@ BAD_VALUES = {
     "size-zero": ("size", 0), "size-fraction": ("size", 2.5),
     "rate-huge": ("rate", 10**400), "sample-huge": ("sample", 10**400),
     "slack-huge": ("slack", 10**400), "size-huge": ("size", 10**400),
+    "count-fraction": ("count", 2.5), "count-nan": ("count", math.nan),
+    "count-inf": ("count", math.inf), "count-huge": ("count", 10**400),
+    "replications-one": ("replications", 1), "replications-fraction": ("replications", 2.5),
+    "replications-nan": ("replications", math.nan),
+    "seed-negative": ("seed", -1), "seed-fraction": ("seed", 1.5),
+    "seed-over-64-bits": ("seed", 2**64), "seed-nan": ("seed", math.nan),
+    # The scenario has k = 2 legs, so 2 is one past the last index.
+    "index-fraction": ("index", 0.5), "index-negative": ("index", -1), "index-k": ("index", 2),
 }
+# Kinds that belong to one leg of the scenario, which the error must name.
+LEG_KINDS = {"rate", "sample", "slack", "size"}
 
 
 @dataclass(frozen=True)
 class Inputs:
-    """Valid inputs with one bad value in place: the bad leg is leg 2 of the
-    scenario and carries both samples and rates."""
+    """Valid inputs with one bad value in place: a bad leg value is on leg 2
+    of the scenario, which carries both samples and rates."""
 
     rates: ExponentialLegModel
     samples: LegSamples
     t: float
     sizes: tuple
+    r: int
+    replications: int
+    seed: int
+    index: int
 
     @classmethod
     def with_bad(cls, kind, value):
-        rate = value if kind == "rate" else 0.05
-        delays = () if value is None else (value if kind == "sample" else 3.0, 7.0)
-        return cls(ExponentialLegModel(rate, 0.02), LegSamples(delays, (10.0, 20.0)),
-                   value if kind == "slack" else 25.0, (3, value if kind == "size" else 3))
+        def pick(own, good):
+            return value if kind == own else good
+
+        delays = () if value is None else (pick("sample", 3.0), 7.0)
+        return cls(ExponentialLegModel(pick("rate", 0.05), 0.02), LegSamples(delays, (10.0, 20.0)),
+                   pick("slack", 25.0), (3, pick("size", 3)), pick("count", 3),
+                   pick("replications", 2), pick("seed", 0), pick("index", 0))
 
     @property
     def scenario(self):
@@ -261,19 +282,24 @@ ENTRY_POINTS = {
         lambda c, mode=mode: leg_kernels(Leg(samples=c.samples), c.t, mode))
        for mode in ("closed_form", "plugin", "quadrature")},
     "variance_pipeline": (
-        {"rate", "sample", "slack", "size"}, True,
-        lambda c: variance_pipeline(c.scenario, 3, mode="closed_form",
+        {"rate", "sample", "slack", "size", "count"}, True,
+        lambda c: variance_pipeline(c.scenario, c.r, mode="closed_form",
                                     sizes_x=c.sizes, sizes_y=(3, 3))),
+    "estimator_variance": ({"count"}, False, lambda c: estimator_variance(0.5, 0.3, c.r)),
+    "ResamplingConfig": (
+        {"count", "seed"}, False, lambda c: ResamplingConfig(r=c.r, seed=c.seed)),
     "resample_estimate": (
         {"rate", "sample", "slack"}, True,
         lambda c: resample_estimate(c.scenario, ResamplingConfig(r=3))),
     "enumerate_exact": (
-        {"rate", "sample", "slack"}, True,
-        lambda c: enumerate_exact(c.scenario, ResamplingConfig(r=1))),
+        {"rate", "sample", "slack", "count"}, True,
+        lambda c: enumerate_exact(c.scenario, ResamplingConfig(r=c.r))),
     "simulate_pipeline_variance": (
-        {"rate", "sample", "slack", "size"}, True,
-        lambda c: simulate_pipeline_variance(c.scenario, c.sizes, (3, 3), r=3,
-                                             replications=2, seed=0)),
+        {"rate", "sample", "slack", "size", "count", "replications", "seed"}, True,
+        lambda c: simulate_pipeline_variance(c.scenario, c.sizes, (3, 3), r=c.r,
+                                             replications=c.replications, seed=c.seed)),
+    "run_suite": ({"seed"}, False, lambda c: run_suite("kernels", c.seed)),
+    "omega_probability": ({"index"}, False, lambda c: omega_probability([c.index], c.sizes)),
 }
 
 
@@ -287,5 +313,4 @@ def test_every_entry_point_refuses_each_bad_value(entry, bad):
     with pytest.raises(ValidationError) as info:
         call(Inputs.with_bad(kind, value))
     assert ("empty" if value is None else repr(value)) in str(info.value)
-    if takes_scenario:
-        assert info.value.leg == 1
+    assert info.value.leg == (1 if takes_scenario and kind in LEG_KINDS else None)

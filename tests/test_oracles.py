@@ -173,3 +173,15 @@ class TestSimulatePipelineVariance:
             simulate_pipeline_variance(
                 reference_scenario(140.0, k=1), [4], [4], r=3, replications=1, seed=0
             )
+
+    def test_counts_and_seed_are_whole_numbers(self):
+        # Whole floats run as the ints they equal; a count the resampler's
+        # int64 realization indices cannot hold is bad input, as it is for
+        # ResamplingConfig.
+        scenario = reference_scenario(140.0, k=1)
+        whole = simulate_pipeline_variance(scenario, [4], [4], r=3.0, replications=100.0,
+                                           seed=5.0)
+        assert whole == simulate_pipeline_variance(scenario, [4], [4], r=3, replications=100,
+                                                   seed=5)
+        with pytest.raises(ValidationError, match=rf"^realization count {2**63} must be below"):
+            simulate_pipeline_variance(scenario, [4], [4], r=2**63, replications=100, seed=0)

@@ -190,6 +190,14 @@ def test_missing_samples_names_leg():
     assert info.value.leg == 0
 
 
+def test_whole_float_config_runs_as_ints():
+    config = ResamplingConfig(r=64.0, seed=2024.0)
+    assert (config.r, config.seed) == (64, 2024) and type(config.r) is type(config.seed) is int
+    scenario = two_point_scenario()
+    assert resample_estimate(scenario, config) == resample_estimate(
+        scenario, ResamplingConfig(r=64, seed=2024))
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
         ResamplingConfig(r=0)
