@@ -7,7 +7,10 @@ times, and computes the exact variance of that estimator analytically.
 No module of the package imports numpy at import time. The kernels, the
 quadrature, the variance and the sweep run in plain Python floats and
 integers; only the resampler and the oracles, behind ``estimate`` and
-``verify``, load numpy when they run.
+``verify``, load numpy when they run. Nor does any module import the
+standard data-class module, which loads ``inspect``: every record type is
+an immutable named tuple, copied with ``_replace`` and serialized with
+``_asdict``.
 """
 
 from .cli import load_scenario

@@ -41,7 +41,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 
 from .errors import CircrelError, MissingSamples, NumericError, ParseError, ValidationError
 from .plan import (
@@ -218,7 +217,7 @@ def _variance_payload(report: VarianceReport) -> dict:
         "method": report.method,
         "per_leg_h": [
             {"leg": i + 1, **{
-                case: asdict(getattr(kern, case))
+                case: getattr(kern, case)._asdict()
                 for case in ("both", "neither", "service_only", "delay_only")
             }}
             for i, kern in enumerate(report.per_leg_h)
@@ -231,7 +230,7 @@ def _cmd_estimate(args) -> int:
     config = ResamplingConfig(r=args.resamples, seed=_resolve_seed(args.seed))
     report = resample_estimate(scenario, config)
     if args.format == "json":
-        _emit_json(asdict(report))
+        _emit_json(report._asdict())
     else:
         sys.stdout.write("theta_star,r,seed,success_count\n")
         sys.stdout.write(
@@ -307,7 +306,7 @@ def _cmd_verify(args) -> int:
     payload = {
         "suite": args.suite,
         "seed": seed,
-        "checks": [asdict(c) for c in checks],
+        "checks": [c._asdict() for c in checks],
         "passed": all(c.passed for c in checks),
     }
     _emit_json(payload)

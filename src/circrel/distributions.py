@@ -39,7 +39,7 @@ from bisect import bisect_left
 from itertools import accumulate
 from numbers import Real
 from operator import mul
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .plan import ExponentialLegModel, LegSamples, _check_rate, _check_samples, _check_slack
 from .quadrature import adaptive_quadrature
@@ -268,11 +268,11 @@ def _kept_counts(delays: tuple, services: tuple, ts: tuple) -> tuple[tuple[int, 
     return tuple(map(tuple, counts))
 
 
-def leg_reliability_plugin(samples: LegSamples, t: float | Sequence[float]) -> float | list[float]:
+def leg_reliability_plugin(samples: LegSamples, t: float | Iterable[float]) -> float | list[float]:
     """Fraction of delay/service sample cross-pairs with x + y <= t, for one
-    slack t or, as a list, for each slack of a sequence."""
+    slack t or, as a list, for each slack of an iterable."""
     single = isinstance(t, Real)
-    ts = (t,) if single else t
+    ts = (t,) if single else tuple(t)  # a one-shot iterable is read once
     _check_samples(samples)
     for u in ts:
         _check_slack(u)

@@ -21,7 +21,7 @@ generative model it describes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import EnumerationTooLarge, ValidationError
@@ -43,23 +43,18 @@ MAX_REPLICATIONS = 10_000_000
 _REPLICATION_BLOCK = 128
 
 
-@dataclass(frozen=True)
-class ExactOracleResult:
+class ExactOracleResult(namedtuple("ExactOracleResult",
+                                   "expected_theta_star exact_variance term_count")):
     """Exact moments of the estimator over the enumerated randomness."""
 
-    expected_theta_star: float
-    exact_variance: float
-    term_count: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
+class MonteCarloResult(namedtuple("MonteCarloResult", "mean_theta_star empirical_variance "
+                                  "replications standard_error_of_variance")):
     """Empirical moments of the estimator over fresh-sample replications."""
 
-    mean_theta_star: float
-    empirical_variance: float
-    replications: int
-    standard_error_of_variance: float
+    __slots__ = ()
 
 
 def _value_assignments(values: np.ndarray, samples_random: bool) -> np.ndarray:

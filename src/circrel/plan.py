@@ -12,39 +12,41 @@ Per-leg knowledge comes in two forms, and a leg may carry both:
   expected case), or
 * exponential rates for the delay and service distributions.
 
-All types are plain immutable carriers. Each input rule is written once,
-here, in the helpers below, counts and seeds too (``_check_count``,
-``_check_seed``), and each message starts with a noun the caller passes.
-``validate_scenario`` applies them to a whole scenario and every other
-public entry point to the values it takes directly.
+All types are immutable named tuples: they compare and hash by field,
+and ``_replace`` and ``_asdict`` copy and serialize them. The package
+imports no data-class module: importing it and building frozen data
+classes were the largest share of a CLI call's start-up.
+
+Each input rule is written once, here, in the helpers below, counts and
+seeds too (``_check_count``, ``_check_seed``), and each message starts
+with a noun the caller passes. ``validate_scenario`` applies them to a
+whole scenario and every other public entry point to the values it takes
+directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .errors import ValidationError
 
 
-@dataclass(frozen=True)
-class CirculationPlan:
+class CirculationPlan(namedtuple("CirculationPlan", "intervals")):
     """Slack times t_1..t_k, one per serviced turnaround."""
 
-    intervals: tuple[float, ...]
+    __slots__ = ()
 
     @property
     def k(self) -> int:
         return len(self.intervals)
 
 
-@dataclass(frozen=True)
-class LegSamples:
+class LegSamples(namedtuple("LegSamples", "delays services")):
     """Observed delay and service-time populations for one leg."""
 
-    delays: tuple[float, ...]
-    services: tuple[float, ...]
+    __slots__ = ()
 
     @property
     def n_delays(self) -> int:
@@ -55,28 +57,22 @@ class LegSamples:
         return len(self.services)
 
 
-@dataclass(frozen=True)
-class ExponentialLegModel:
+class ExponentialLegModel(namedtuple("ExponentialLegModel", "delay_rate service_rate")):
     """Exponential delay and service laws for one leg, given by their rates."""
 
-    delay_rate: float
-    service_rate: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Leg:
+class Leg(namedtuple("Leg", "samples rates", defaults=(None, None))):
     """Per-leg model knowledge: samples, exponential rates, or both."""
 
-    samples: LegSamples | None = None
-    rates: ExponentialLegModel | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(namedtuple("Scenario", "plan legs")):
     """A plan bound to the per-leg models operations draw on."""
 
-    plan: CirculationPlan
-    legs: tuple[Leg, ...]
+    __slots__ = ()
 
 
 def _finite(x: float) -> bool:

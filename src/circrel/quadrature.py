@@ -16,7 +16,7 @@ takes a list of 21 nodes and returns a list of values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from heapq import heappush, heappop
 from operator import mul
 from typing import Callable
@@ -58,11 +58,8 @@ ABS_TOL = 1e-16
 MAX_EVALS = 1_000_000
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error_estimate: float
-    evaluations: int
+class QuadratureResult(namedtuple("QuadratureResult", "value error_estimate evaluations")):
+    __slots__ = ()
 
 
 def _panel(f: Callable[[list[float]], list[float]], a: float, b: float) -> tuple[float, float]:

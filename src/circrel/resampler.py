@@ -27,7 +27,7 @@ rejection (or whose sizes exceed 32 bits) is replayed through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .errors import MissingSamples, ValidationError
@@ -48,16 +48,21 @@ _PHILOX_ROUNDS = 10
 _CHUNK_ROWS = 4096
 
 
-@dataclass(frozen=True)
-class ResamplingConfig:
-    """Realization count and the 64-bit seed the whole run derives from, as ints."""
+class ResamplingConfig(namedtuple("ResamplingConfig", "r seed", defaults=(0,))):
+    """Realization count and the 64-bit seed the whole run derives from, as ints.
 
-    r: int
-    seed: int = 0
+    Both are checked on construction, and by every copy: ``_make``, and so
+    ``_replace``, goes through the constructor.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", _realization_count(self.r))
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+    __slots__ = ()
+
+    def __new__(cls, r: int, seed: int = 0):
+        return super().__new__(cls, _realization_count(r), _check_seed(seed))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def _realization_count(r: int) -> int:
@@ -67,14 +72,10 @@ def _realization_count(r: int) -> int:
     return _check_count(r, "realization count")
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(namedtuple("EstimateReport", "theta_star r seed success_count")):
     """Resampling estimate and the inputs needed to reproduce it."""
 
-    theta_star: float
-    r: int
-    seed: int
-    success_count: int
+    __slots__ = ()
 
 
 def realization_stream(seed: int, index: int) -> np.random.Generator:

@@ -59,7 +59,7 @@ of slacks, and then only the O(k) products for mu11 and theta at each point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from numbers import Real
 from operator import getitem
 from typing import Iterable, Iterator, Sequence
@@ -83,37 +83,27 @@ ENUMERATE_MAX_LEGS = 12
 NEGATIVE_VARIANCE_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class KernelEvaluation:
+class KernelEvaluation(namedtuple("KernelEvaluation", "value method near_singular",
+                                  defaults=(False,))):
     """One kernel value plus how it was obtained.
 
     ``near_singular`` is kept in the report format; no evaluation path sets
     it now.
     """
 
-    value: float
-    method: str
-    near_singular: bool = False
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LegKernels:
+class LegKernels(namedtuple("LegKernels", "both neither service_only delay_only")):
     """The four coincidence-case kernels of one leg."""
 
-    both: KernelEvaluation
-    neither: KernelEvaluation
-    service_only: KernelEvaluation
-    delay_only: KernelEvaluation
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class _KernelTable:
+class _KernelTable(namedtuple("_KernelTable", "method both service_only delay_only")):
     """R, S and D of one leg over a grid of slacks, and how they were evaluated."""
 
-    method: str
-    both: Sequence[float]
-    service_only: Sequence[float]
-    delay_only: Sequence[float]
+    __slots__ = ()
 
     def at(self, j: int) -> LegKernels:
         """The four kernels at the j-th slack; neither coincides is R**2."""
@@ -122,17 +112,12 @@ class _KernelTable:
         return LegKernels(*(KernelEvaluation(v, self.method) for v in values))
 
 
-@dataclass(frozen=True)
-class VarianceReport:
+class VarianceReport(namedtuple("VarianceReport",
+                                "theta mu11 r variance kernel_mode method per_leg_h",
+                                defaults=(None, None, ()))):
     """Estimator variance with every intermediate needed to audit it."""
 
-    theta: float
-    mu11: float
-    r: int
-    variance: float
-    kernel_mode: str | None = None
-    method: str | None = None
-    per_leg_h: tuple[LegKernels, ...] = ()
+    __slots__ = ()
 
     @property
     def mu2(self) -> float:
@@ -160,10 +145,10 @@ def _resolve_mode(leg: Leg, mode: str, index: int | None = None) -> str:
     return resolved
 
 
-def leg_kernels(leg: Leg, t: float | Sequence[float], mode: str) -> LegKernels | _KernelTable:
+def leg_kernels(leg: Leg, t: float | Iterable[float], mode: str) -> LegKernels | _KernelTable:
     """Evaluate the coincidence-case kernels of one leg at slack t.
 
-    t is one slack, giving its ``LegKernels``, or a sequence of slacks,
+    t is one slack, giving its ``LegKernels``, or an iterable of slacks,
     giving one table of R, S and D over all of them. The mode picks how R
     and the two one-sided kernels are evaluated; the neither-coincides
     kernel is always R**2, reported with R's method: the path that ran, so
@@ -171,7 +156,7 @@ def leg_kernels(leg: Leg, t: float | Sequence[float], mode: str) -> LegKernels |
     """
     resolved = _resolve_mode(leg, mode)
     single = isinstance(t, Real)
-    ts = (t,) if single else t
+    ts = (t,) if single else tuple(t)  # a one-shot iterable is read once
     if resolved == "closed_form":
         a, b = leg.rates.delay_rate, leg.rates.service_rate
         both = [leg_reliability_exponential(leg.rates, u) for u in ts]
@@ -274,7 +259,7 @@ def _tables(
     the only one validation can reject, and each leg's kernel path before
     any table is built; equal legs over equal columns share one table."""
     sizes_x, sizes_y = _sizes_for(scenario, sizes_x, sizes_y)
-    validate_scenario(replace(scenario, plan=CirculationPlan(tuple(c[0] for c in columns))))
+    validate_scenario(scenario._replace(plan=CirculationPlan(tuple(c[0] for c in columns))))
     for i, leg in enumerate(scenario.legs):
         _resolve_mode(leg, mode, i)
     keys = list(zip(scenario.legs, columns))

@@ -16,7 +16,7 @@ Each check reports the observed discrepancy and the bound it was held to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import ValidationError
 from .oracles import enumerate_exact, simulate_pipeline_variance
@@ -28,12 +28,8 @@ from .variance import leg_kernels, variance_pipeline
 SUITES = ("exact", "kernels", "montecarlo")  # in the order the CLI lists them
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    observed: float
-    bound: float
+class CheckResult(namedtuple("CheckResult", "name passed observed bound")):
+    __slots__ = ()
 
 
 def _check(name: str, observed: float, bound: float) -> CheckResult:

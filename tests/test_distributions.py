@@ -171,6 +171,11 @@ def test_fit_counts_match_the_pair_matrix(case):
     assert plugin.both == [s / (nx * ny) for s in expected[0]]
     for mode in ("closed_form", "quadrature"):
         assert leg_kernels(leg, grid, mode) == plugin
+    # Slacks given as a one-shot iterator are read once, into every column.
+    assert leg_kernels(leg, iter(grid), "plugin") == plugin
+    assert leg_reliability_plugin(leg.samples, iter(grid)) == plugin.both
+    rated = Leg(rates=ExponentialLegModel(0.05, 0.02))
+    assert leg_kernels(rated, iter(grid), "closed_form") == leg_kernels(rated, grid, "closed_form")
 
 
 class TestPluginKernel:

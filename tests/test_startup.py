@@ -1,9 +1,11 @@
-"""Start-up: numpy loads only where arrays are built.
+"""Start-up: numpy loads only where arrays are built, dataclasses nowhere.
 
 ``--help``, argument and parse errors, and ``variance`` and ``sweep`` never
 touch an array, so a fresh interpreter running them must end without numpy
 in ``sys.modules``; ``estimate``, whose resampler draws arrays, loads it.
-The package's public names must be the modules' own objects.
+The records are named tuples, so no command, ``estimate`` included, may
+end with ``dataclasses`` loaded. The package's public names must be the
+modules' own objects.
 """
 
 import json
@@ -21,7 +23,7 @@ FIVE_LEG = str(REPO / "scenarios" / "five_leg_exponential.json")
 TWO_LEG = str(REPO / "scenarios" / "two_leg_samples.json")
 
 # Runs main on argv in a fresh interpreter; the last stdout line is the exit
-# code and whether numpy was loaded.
+# code and whether numpy and dataclasses were loaded.
 PROBE = """
 import json, sys
 from circrel.cli import main
@@ -29,7 +31,7 @@ try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code, "numpy" in sys.modules, "dataclasses" in sys.modules]))
 """
 
 
@@ -61,11 +63,11 @@ def _probe(argv):
     pytest.param(["variance", str(REPO / "pyproject.toml")], 2, id="parse-error"),
 ])
 def test_numpy_not_loaded(argv, code):
-    assert _probe(argv) == [code, False]
+    assert _probe(argv) == [code, False, False]
 
 
 def test_numpy_loaded_by_estimate():
-    assert _probe(["estimate", TWO_LEG, "-r", "10"]) == [0, True]
+    assert _probe(["estimate", TWO_LEG, "-r", "10"]) == [0, True, False]
 
 
 def test_exports_are_the_home_modules_objects():

@@ -14,7 +14,6 @@ import os
 import tempfile
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -111,7 +110,7 @@ def _expected(scenario, argv):
     sizes = [int(options["--sample-size"])] * k if "--sample-size" in options else None
     header, out = "t,theta,mu11,variance\n", ""
     for t in _parse_grid(options["--t-grid"]):
-        point = replace(scenario, plan=CirculationPlan((t,) * k))
+        point = scenario._replace(plan=CirculationPlan((t,) * k))
         try:
             report = variance_pipeline(
                 point, r=int(options["-r"]), mode=options["--mode"],
